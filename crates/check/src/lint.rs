@@ -19,9 +19,11 @@
 //!
 //! One rule guards performance rather than determinism: functions preceded
 //! by a standalone `// lint:hot` marker line are declared allocation-free
-//! hot paths (codec inner loops), and `to_vec()` / `Vec::new` inside them
-//! is flagged (`hot-path-alloc`) — per-call allocations are exactly what
-//! the `_into` codec APIs exist to avoid.
+//! hot paths (codec inner loops, protocol walks), and `to_vec()`,
+//! `.collect()`, `Vec::new`, `BTreeMap::new` and `BTreeSet::new` inside
+//! them are flagged (`hot-path-alloc`) — per-call allocations are exactly
+//! what the `_into` codec APIs and the reused scratch buffers exist to
+//! avoid.
 //!
 //! The scanner lexes each file just enough to be trustworthy — comments,
 //! (raw) string literals and char literals are stripped before matching
@@ -69,8 +71,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "hot-path-alloc",
-        "to_vec()/Vec::new inside a function marked hot: declared allocation-free hot paths \
-         must write into caller-owned scratch",
+        "to_vec()/.collect()/Vec::new/BTreeMap::new/BTreeSet::new inside a function marked \
+         hot: declared allocation-free hot paths must write into caller-owned scratch",
     ),
     (
         "shared-mutable",
@@ -232,7 +234,15 @@ fn scan_tokens(toks: &[Spanned], src_lines: &[&str], file: &Path) -> Vec<Finding
             "random" if rustlite::preceded_by(toks, i, "rand") => push(i, "ambient-rng"),
             "spawn" if rustlite::preceded_by(toks, i, "thread") => push(i, "thread-spawn"),
             "to_vec" if in_hot(i) && punct(toks, i + 1) == Some('(') => push(i, "hot-path-alloc"),
-            "new" if in_hot(i) && rustlite::preceded_by(toks, i, "Vec") => {
+            "collect" if in_hot(i) && i > 0 && punct(toks, i - 1) == Some('.') => {
+                push(i, "hot-path-alloc")
+            }
+            "new"
+                if in_hot(i)
+                    && ["Vec", "BTreeMap", "BTreeSet"]
+                        .iter()
+                        .any(|ty| rustlite::preceded_by(toks, i, ty)) =>
+            {
                 push(i, "hot-path-alloc")
             }
             "static" if ident(toks, i + 1) == Some("mut") => push(i, "shared-mutable"),
@@ -409,6 +419,21 @@ mod tests {
         assert!(lint_str("fn f(d: &[u8]) -> Vec<u8> { d.to_vec() }").is_empty());
         let src = "// lint:hot\nfn f() { let to_vec = 1; let _ = to_vec; }\n";
         assert!(lint_str(src).is_empty());
+
+        // Collecting and fresh ordered maps/sets allocate too; a method
+        // merely named `collect` or a `new` on another type does not fire.
+        let src = "// lint:hot\nfn f(d: &[u8]) -> Vec<u8> { d.iter().copied().collect() }\n";
+        assert_eq!(lint_str(src)[0].rule, "hot-path-alloc");
+        let src =
+            "// lint:hot\nfn f(d: &[u8]) -> Vec<u8> { d.iter().copied().collect::<Vec<_>>() }\n";
+        assert_eq!(lint_str(src).len(), 1);
+        let src = "// lint:hot\nfn f() { let m: BTreeMap<u8, u8> = BTreeMap::new(); }\n";
+        assert_eq!(lint_str(src)[0].rule, "hot-path-alloc");
+        let src = "// lint:hot\nfn f() { let s: BTreeSet<u8> = BTreeSet::new(); }\n";
+        assert_eq!(lint_str(src)[0].rule, "hot-path-alloc");
+        let src = "// lint:hot\nfn f(g: &mut G) { let collect = 1; g.collector(collect); let m = FragMask::new(); }\n";
+        assert!(lint_str(src).is_empty());
+        assert!(lint_str("fn f(d: &[u8]) -> Vec<u8> { d.iter().copied().collect() }").is_empty());
 
         // A doc mention of the marker mid-line opens no span.
         let src = "//! functions marked `// lint:hot` are scanned\nfn f(d: &[u8]) -> Vec<u8> { d.to_vec() }\n";

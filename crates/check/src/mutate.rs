@@ -350,7 +350,7 @@ pub fn scan_file(rel: &Path, src: &str) -> Vec<Mutation> {
     // (`repair_triggered` drops to zero in the rack family).
     if stem == "repair" {
         const THRESHOLD: &str =
-            "let below_threshold = live * 100 < u64::from(self.opts.threshold_pct) * target;";
+            "let below_threshold = live * 100 < u64::from(opts.threshold_pct) * target;";
         for pos in occurrences(src, THRESHOLD) {
             push(
                 "repair-threshold-skip",
@@ -924,7 +924,7 @@ mod tests {
 
     #[test]
     fn repair_threshold_skip_site_is_repair_only() {
-        let src = "let k = u64::from(t.meta.policy().k);\nlet below_threshold = live * 100 < u64::from(self.opts.threshold_pct) * target;\n";
+        let src = "let k = u64::from(t.meta.policy().k);\nlet below_threshold = live * 100 < u64::from(opts.threshold_pct) * target;\n";
         let ms = scan_file(Path::new("repair.rs"), src);
         let m = ms
             .iter()

@@ -123,6 +123,35 @@ fn detects_stripe_cache_lookup_regressions() {
 }
 
 #[test]
+fn detects_repair_inventory_hot_path_regressions() {
+    // The FS report builder and the repair actor's report fold carry
+    // `// lint:hot` markers; this fixture mirrors their shape and proves
+    // the allocation patterns they replaced — a collected Vec per entry,
+    // a fresh map per report and a fresh set per entry — trip the lint,
+    // while the mask-based builder and merge-walk fold stay clean (three
+    // findings, one per regression, leave none for the clean functions).
+    let findings = lint_file(&fixture("hot_inventory_regression.rs")).unwrap();
+    assert_eq!(rules_hit(&findings), ["hot-path-alloc"]);
+    assert_eq!(
+        findings.len(),
+        3,
+        "collect per entry + BTreeMap::new + BTreeSet::new: {findings:?}"
+    );
+    assert!(
+        findings.iter().any(|f| f.excerpt.contains("collect()")),
+        "per-entry Vec regression flagged: {findings:?}"
+    );
+    assert!(
+        findings.iter().any(|f| f.excerpt.contains("BTreeMap::new")),
+        "per-report map regression flagged: {findings:?}"
+    );
+    assert!(
+        findings.iter().any(|f| f.excerpt.contains("BTreeSet::new")),
+        "per-entry set regression flagged: {findings:?}"
+    );
+}
+
+#[test]
 fn detects_shared_mutable_state() {
     let findings = lint_file(&fixture("shared_mutable.rs")).unwrap();
     assert_eq!(rules_hit(&findings), ["shared-mutable"]);

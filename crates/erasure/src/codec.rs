@@ -237,6 +237,7 @@ impl Codec {
         // kernel; when the SIMD shuffle kernel is active, row-at-a-time
         // `mul_acc` over long contiguous rows is faster still.
         if mode == CodecImpl::Packed && !self.packed.is_empty() && flen > 0 && !gf::simd_active() {
+            // lint:allow(hot-path-alloc): k borrowed rows; the encode allocates its stripe anyway
             let rows: Vec<&[u8]> = data.chunks_exact(flen).collect();
             self.encode_parity_packed(&rows, parity, flen);
         } else {
@@ -293,6 +294,7 @@ impl Codec {
         out.reserve(self.n);
         if pk > 0 && flen > 0 {
             let mut parity = vec![0u8; pk * flen];
+            // lint:allow(hot-path-alloc): k borrowed rows; the encode allocates its parity anyway
             let row_slices: Vec<&[u8]> = rows.iter().map(|r| r.as_ref()).collect();
             if self.packed.is_empty() || gf::simd_active() {
                 for p in 0..pk {

@@ -525,10 +525,7 @@ impl VersionStore {
     /// Returns 1 if the slot was compacted (0 if already a residual).
     fn compact_slot(slot: &mut VersionSlot) -> usize {
         if let SlotEntry::Full(e) = &slot.entry {
-            let mut held = FragMask::new();
-            for &idx in e.fragments.keys() {
-                held.insert(idx);
-            }
+            let held = FragMask::from_indices(e.fragments.keys().copied());
             slot.entry = SlotEntry::Compacted { held };
             1
         } else {
@@ -1156,27 +1153,28 @@ impl Fs {
         found
     }
 
-    /// Sends this FS's fragment inventory — every known version with its
-    /// metadata and held fragment indices — to the DC's repair actor. An
-    /// empty store still reports (the actor waits for every FS before
-    /// judging redundancy).
+    /// Sends this FS's fragment inventory — every version it still holds
+    /// an entry for, with its metadata and held fragment indices, in
+    /// object-version order — to the DC's repair actor. Compacted
+    /// residuals are dropped through their slot hints before the sort and
+    /// each entry is built from its hint, so a report costs one slab walk
+    /// plus a sort of the versions it lists. An empty store still reports
+    /// (the actor waits for every FS before judging redundancy).
+    // lint:hot
     fn send_repair_report(&mut self, ctx: &mut Context<'_, Message>) {
         let Some(target) = self.repair_target else {
             return;
         };
         let mut versions = std::mem::take(&mut self.version_scratch);
         self.store.collect_known(&mut versions);
+        versions.retain(|&(ov, hint)| self.store.entry_at(ov, hint).is_some());
         versions.sort_unstable_by_key(|&(ov, _)| ov);
         let mut entries = Vec::with_capacity(versions.len());
-        for &(ov, _) in &versions {
-            let Some(entry) = self.store.entry(ov) else {
-                continue;
-            };
-            entries.push((
-                ov,
-                Arc::clone(&entry.meta),
-                entry.fragments.keys().copied().collect(),
-            ));
+        for &(ov, hint) in &versions {
+            if let Some(entry) = self.store.entry_at(ov, hint) {
+                let held = FragMask::from_indices(entry.fragments.keys().copied());
+                entries.push((ov, Arc::clone(&entry.meta), held));
+            }
         }
         versions.clear();
         self.version_scratch = versions;
@@ -1239,7 +1237,9 @@ impl Fs {
         let mode = self.mode;
         let Some((entry, _inserted)) = self.store.entry_or_insert_with(ov, now, || FragEntry {
             meta: mode.share(meta),
+            // lint:allow(hot-path-alloc): an empty BTreeMap allocates nothing until an insert
             fragments: BTreeMap::new(),
+            // lint:allow(hot-path-alloc): an empty BTreeMap allocates nothing until an insert
             checksums: BTreeMap::new(),
         }) else {
             // Compacted: the version is settled AMR with complete
@@ -1522,8 +1522,8 @@ impl Fs {
                 work.fs_ok.clear();
                 work.step_open = true;
             }
-            let klss: Vec<NodeId> = self.topo.all_klss().collect();
-            for kls in klss {
+            let topo = Arc::clone(&self.topo);
+            for kls in topo.all_klss() {
                 let share = self.mode.share(&meta);
                 self.send_converge_kls(ctx, kls, ov, share);
             }

@@ -34,6 +34,7 @@ use simnet::Payload;
 
 use crate::metadata::{Location, Metadata};
 use crate::policy::Policy;
+use crate::protocol::FragMask;
 use crate::topology::DataCenterId;
 use crate::types::{Key, ObjectVersion, Timestamp};
 
@@ -328,8 +329,9 @@ pub enum Message {
     /// verification traffic an FS already emits during convergence, just
     /// pushed on a timer instead of pulled by a probe.
     RepairReport {
-        /// `(object version, metadata, fragment indices held)` per object.
-        entries: Vec<(ObjectVersion, Arc<Metadata>, Vec<FragmentIndex>)>,
+        /// `(object version, metadata, fragment indices held)` per object,
+        /// in ascending object-version order.
+        entries: Vec<(ObjectVersion, Arc<Metadata>, FragMask)>,
     },
     /// A recovered sibling fragment pushed to the FS that needs it
     /// (sibling fragment recovery, §4.2). Unacknowledged; the next
@@ -490,7 +492,7 @@ impl Payload for Message {
                 }
                 Message::RepairReport { entries } => entries
                     .iter()
-                    .map(|(_, m, have)| OV_BYTES + m.wire_size() + 1 + have.len())
+                    .map(|(_, m, have)| OV_BYTES + m.wire_size() + 1 + have.count())
                     .sum::<usize>(),
                 Message::SiblingStore { meta, fragment, .. } => {
                     OV_BYTES + meta.wire_size() + fragment.wire_len()
@@ -646,7 +648,7 @@ mod tests {
     #[test]
     fn repair_report_shares_the_converge_reply_label() {
         let report = Message::RepairReport {
-            entries: vec![(ov(), Arc::new(full_meta()), vec![0, 3])],
+            entries: vec![(ov(), Arc::new(full_meta()), FragMask::from_indices([0, 3]))],
         };
         assert_eq!(report.kind(), "FSConvergeRep");
         // One shared header plus per-entry bodies, like the batches.

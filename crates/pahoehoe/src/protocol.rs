@@ -303,6 +303,36 @@ impl FragMask {
         self.bits.iter().all(|&w| w == 0)
     }
 
+    /// The set of the given indices.
+    pub fn from_indices(indices: impl IntoIterator<Item = FragmentIndex>) -> Self {
+        let mut m = FragMask::new();
+        for idx in indices {
+            m.insert(idx);
+        }
+        m
+    }
+
+    /// The indices in `self`, `other` or both.
+    pub fn union(self, other: FragMask) -> FragMask {
+        self.zip_with(other, |a, b| a | b)
+    }
+
+    /// The indices in both `self` and `other`.
+    pub fn intersection(self, other: FragMask) -> FragMask {
+        self.zip_with(other, |a, b| a & b)
+    }
+
+    /// The indices in `self` but not in `other`.
+    pub fn difference(self, other: FragMask) -> FragMask {
+        self.zip_with(other, |a, b| a & !b)
+    }
+
+    fn zip_with(self, other: FragMask, f: impl Fn(u64, u64) -> u64) -> FragMask {
+        FragMask {
+            bits: std::array::from_fn(|w| f(self.bits[w], other.bits[w])),
+        }
+    }
+
     /// Iterates the indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = FragmentIndex> + '_ {
         self.bits.iter().enumerate().flat_map(|(w, &word)| {
@@ -382,5 +412,17 @@ mod tests {
         assert_eq!(m.count(), 3);
         m.clear();
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn frag_mask_set_algebra() {
+        let a = FragMask::from_indices([1, 2, 70, 200]);
+        let b = FragMask::from_indices([2, 3, 200, 255]);
+        let idx = |m: FragMask| m.iter().collect::<Vec<_>>();
+        assert_eq!(idx(a.union(b)), vec![1, 2, 3, 70, 200, 255]);
+        assert_eq!(idx(a.intersection(b)), vec![2, 200]);
+        assert_eq!(idx(a.difference(b)), vec![1, 70]);
+        assert_eq!(idx(b.difference(a)), vec![3, 255]);
+        assert_eq!(FragMask::from_indices([]), FragMask::new());
     }
 }

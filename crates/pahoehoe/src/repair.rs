@@ -21,6 +21,17 @@
 //! fewer than `k` live fragments *cluster-wide* are not repairable and
 //! are left for read-path convergence to flag.
 //!
+//! # Inventory fold
+//!
+//! Each version keeps one [`FragMask`] per reporting FS, plus their union
+//! and the DC's assigned indices as cached masks. A report arrives sorted
+//! by version and is folded by one merge-walk against the tracked map:
+//! listed versions take the reporter's new mask, omitted ones lose it.
+//! The trigger test then runs over the tracked map in key order as a pure
+//! function of the version, the options, whether every FS has reported,
+//! and the time. Neither step allocates per entry. A `#[cfg(test)]`
+//! oracle keeps the earlier from-scratch fold and pins the equivalence.
+//!
 //! # Donor selection
 //!
 //! Donors are the live fragments' holders. When racks are modeled
@@ -64,6 +75,7 @@ use crate::messages::{
     EV_REPAIR_QUEUE_DEPTH, EV_REPAIR_THROTTLE_STALLS, EV_REPAIR_TRIGGERED,
 };
 use crate::metadata::Metadata;
+use crate::protocol::FragMask;
 use crate::topology::{DataCenterId, Topology};
 use crate::types::ObjectVersion;
 
@@ -139,8 +151,15 @@ impl Default for RepairOptions {
 #[derive(Debug)]
 struct Tracked {
     meta: Arc<Metadata>,
-    /// Fragment indices each reporting FS currently holds.
-    have: BTreeMap<NodeId, BTreeSet<FragmentIndex>>,
+    /// Fragment indices each FS holds, by the FS's position in
+    /// [`RepairActor::holders`]: what its last report listed plus the
+    /// repair pushes it has acked since.
+    have: Vec<FragMask>,
+    /// The union of `have`: every fragment index some FS holds.
+    live: FragMask,
+    /// The fragment indices `meta` assigns to this actor's DC; recomputed
+    /// only when `meta` learns something.
+    local: FragMask,
     /// When this actor first learned of the version; threshold checks
     /// wait one report interval so every holder has had a chance to
     /// report before a fresh put looks degraded.
@@ -149,11 +168,88 @@ struct Tracked {
     retries: u32,
 }
 
+impl Tracked {
+    fn new(meta: Arc<Metadata>, local: FragMask, holders: usize, now: SimTime) -> Self {
+        Tracked {
+            meta,
+            have: Vec::with_capacity(holders),
+            live: FragMask::new(),
+            local,
+            first_seen: now,
+            state: JobState::Idle,
+            retries: 0,
+        }
+    }
+
+    /// Replaces holder `h`'s fragment set, keeping `live` in step.
+    // lint:hot
+    fn set_held(&mut self, h: usize, held: FragMask) {
+        match self.have.get_mut(h) {
+            Some(cur) if *cur == held => return,
+            Some(cur) => *cur = held,
+            None if held.is_empty() => return,
+            None => {
+                self.have.resize(h, FragMask::new());
+                self.have.push(held);
+            }
+        }
+        self.live = self
+            .have
+            .iter()
+            .fold(FragMask::new(), |acc, &m| acc.union(m));
+    }
+
+    /// Records that holder `h` now also holds fragment `idx`.
+    fn add_held(&mut self, h: usize, idx: FragmentIndex) {
+        let mut held = self.have.get(h).copied().unwrap_or_default();
+        held.insert(idx);
+        self.set_held(h, held);
+    }
+
+    /// Assigned local fragments no FS holds: what a repair rebuilds.
+    fn missing(&self) -> FragMask {
+        self.local.difference(self.live)
+    }
+}
+
+/// Whether `t` should be queued for repair now: idle, every FS of the DC
+/// has reported (`all_reported`), known for a full report interval, below
+/// the threshold and still repairable. Pure and allocation-free; the
+/// report fold applies it to every tracked version in key order.
+// lint:hot
+fn should_trigger(t: &Tracked, opts: &RepairOptions, all_reported: bool, now: SimTime) -> bool {
+    if t.state != JobState::Idle || !all_reported || now < t.first_seen + opts.report_interval {
+        return false;
+    }
+    let target = t.local.count() as u64;
+    if target == 0 {
+        return false;
+    }
+    let live = t.local.intersection(t.live).count() as u64;
+    let k = u64::from(t.meta.policy().k);
+    let below_threshold = live * 100 < u64::from(opts.threshold_pct) * target;
+    // Repairable: the cluster still has >= k fragments. Locally we only
+    // *know* our DC's live set; assigned remote fragments count as
+    // potential donors (the fetch verifies).
+    let remote = t.meta.location_count() as u64 - target;
+    let repairable = live + remote >= k && live < target;
+    below_threshold && repairable
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobState {
     Idle,
     Queued,
     InFlight(OpId),
+}
+
+/// What one repair of a version rebuilds and where it reads from.
+#[derive(Debug, PartialEq, Eq)]
+struct Plan {
+    /// Missing `(fragment index, assigned FS)` pairs, in assignment order.
+    targets: Vec<(FragmentIndex, NodeId)>,
+    /// Up to `k` `(FS, fragment index)` donors, in fetch order.
+    donors: Vec<(NodeId, FragmentIndex)>,
 }
 
 /// One in-flight reconstruction.
@@ -183,6 +279,12 @@ pub struct RepairActor {
     my_dc: DataCenterId,
     opts: RepairOptions,
     tracked: BTreeMap<ObjectVersion, Tracked>,
+    /// Every FS that has reported or acked a push, the DC's own FSs
+    /// first; a position here indexes [`Tracked::have`].
+    holders: Vec<NodeId>,
+    /// Positions in the report being folded of versions not yet tracked
+    /// (reused across reports).
+    fresh_scratch: Vec<usize>,
     queue: VecDeque<ObjectVersion>,
     jobs: BTreeMap<OpId, Job>,
     next_op: OpId,
@@ -201,11 +303,14 @@ pub struct RepairActor {
 impl RepairActor {
     /// Creates the repair actor for data center `my_dc`.
     pub fn new(topo: Arc<Topology>, my_dc: DataCenterId, opts: RepairOptions) -> Self {
+        let holders = topo.fss_in(my_dc).to_vec();
         RepairActor {
             topo,
             my_dc,
             opts,
             tracked: BTreeMap::new(),
+            holders,
+            fresh_scratch: Vec::new(),
             queue: VecDeque::new(),
             jobs: BTreeMap::new(),
             next_op: 1,
@@ -240,77 +345,142 @@ impl RepairActor {
 
     /// Live fragment indices this actor believes `ov` has in its DC.
     pub fn live_fragments(&self, ov: ObjectVersion) -> usize {
-        self.tracked.get(&ov).map_or(0, |t| Self::live_set(t).len())
+        self.tracked.get(&ov).map_or(0, |t| t.live.count())
     }
 
-    fn live_set(t: &Tracked) -> BTreeSet<FragmentIndex> {
-        t.have.values().flatten().copied().collect()
+    /// The fragment indices `meta` assigns to FSs of data center `dc`.
+    fn local_mask(topo: &Topology, dc: DataCenterId, meta: &Metadata) -> FragMask {
+        FragMask::from_indices(
+            meta.assignments()
+                .filter(|(_, loc)| topo.dc_of(loc.fs) == Some(dc))
+                .map(|(idx, _)| idx),
+        )
     }
 
-    /// The fragment indices assigned to this actor's DC under `meta`.
-    fn local_assigned(&self, meta: &Metadata) -> Vec<(FragmentIndex, NodeId)> {
-        meta.assignments()
-            .filter(|(_, loc)| self.topo.dc_of(loc.fs) == Some(self.my_dc))
-            .map(|(idx, loc)| (idx, loc.fs))
-            .collect()
+    /// `fs`'s position in `holders`, appending it on first sight.
+    fn holder(&mut self, fs: NodeId) -> usize {
+        match self.holders.iter().position(|&n| n == fs) {
+            Some(h) => h,
+            None => {
+                self.holders.push(fs);
+                self.holders.len() - 1
+            }
+        }
     }
 
-    /// Whether `ov` is below the repair threshold and repairable; queues
-    /// it if so.
-    fn maybe_trigger(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
-        let Some(t) = self.tracked.get(&ov) else {
-            return;
-        };
-        if t.state != JobState::Idle {
-            return;
+    /// Folds FS `from`'s inventory into `tracked`, then queues, in key
+    /// order, every version [`should_trigger`] selects. `entries` must be
+    /// in strictly ascending version order (the FS sorts its report). One
+    /// merge-walk over `tracked` replaces `from`'s fragment set for every
+    /// listed version and clears it for every version the report omits: a
+    /// fragment the FS no longer lists is gone (disk loss, corruption).
+    /// Returns how many versions were queued.
+    // lint:hot
+    fn fold_report(
+        &mut self,
+        from: NodeId,
+        now: SimTime,
+        entries: &[(ObjectVersion, Arc<Metadata>, FragMask)],
+    ) -> u64 {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        self.reported.insert(from);
+        let h = self.holder(from);
+        let mut fresh = std::mem::take(&mut self.fresh_scratch);
+        let mut next = 0;
+        for (ov, t) in self.tracked.iter_mut() {
+            while entries.get(next).is_some_and(|(e, ..)| e < ov) {
+                fresh.push(next);
+                next += 1;
+            }
+            match entries.get(next) {
+                Some((e, meta, held)) if e == ov => {
+                    if Metadata::merge_shared(&mut t.meta, meta) {
+                        t.local = Self::local_mask(&self.topo, self.my_dc, &t.meta);
+                    }
+                    t.set_held(h, *held);
+                    next += 1;
+                }
+                _ => t.set_held(h, FragMask::new()),
+            }
         }
-        // Wait for full visibility: every FS reported once, and the
-        // version has been known for a full report interval.
-        if self.reported.len() < self.topo.fss_in(self.my_dc).len() {
-            return;
+        fresh.extend(next..entries.len());
+        for &i in &fresh {
+            if let Some((ov, meta, held)) = entries.get(i) {
+                let local = Self::local_mask(&self.topo, self.my_dc, meta);
+                let mut t = Tracked::new(Arc::clone(meta), local, self.holders.len(), now);
+                t.set_held(h, *held);
+                self.tracked.insert(*ov, t);
+            }
         }
-        if ctx.now() < t.first_seen + self.opts.report_interval {
-            return;
+        fresh.clear();
+        self.fresh_scratch = fresh;
+
+        let all_reported = self.reported.len() >= self.topo.fss_in(self.my_dc).len();
+        let mut queued = 0;
+        for (&ov, t) in self.tracked.iter_mut() {
+            if should_trigger(t, &self.opts, all_reported, now) {
+                t.state = JobState::Queued;
+                self.queue.push_back(ov);
+                queued += 1;
+            }
         }
-        let local = self.local_assigned(&t.meta);
-        let target = local.len() as u64;
-        if target == 0 {
-            return;
-        }
-        let live_set = Self::live_set(t);
-        let live = local
-            .iter()
-            .filter(|(idx, _)| live_set.contains(idx))
-            .count() as u64;
-        let k = u64::from(t.meta.policy().k);
-        let below_threshold = live * 100 < u64::from(self.opts.threshold_pct) * target;
-        // Repairable: the cluster still has >= k fragments. Locally we
-        // only *know* our DC's live set; assigned remote fragments count
-        // as potential donors (the fetch verifies).
-        let remote = t.meta.location_count() as u64 - target;
-        let repairable = live + remote >= k && live < target;
-        if below_threshold && repairable {
-            // lint:allow(panic-path): tracked.get succeeded above
-            let t = self.tracked.get_mut(&ov).expect("tracked above");
-            t.state = JobState::Queued;
-            self.queue.push_back(ov);
-            self.triggered += 1;
-            ctx.record_event(EV_REPAIR_TRIGGERED, 1);
+        self.triggered += queued;
+        queued
+    }
+
+    /// Records that `fs` acked a repair push of fragment `idx` of `ov`.
+    fn note_stored(&mut self, fs: NodeId, ov: ObjectVersion, idx: FragmentIndex) {
+        let h = self.holder(fs);
+        if let Some(t) = self.tracked.get_mut(&ov) {
+            t.add_held(h, idx);
         }
     }
 
     /// Estimated payload bytes one repair of `ov` moves: `k` donor
     /// fetches plus one push per missing fragment.
-    fn job_cost(&self, t: &Tracked) -> u64 {
+    fn job_cost(t: &Tracked) -> u64 {
         let p = t.meta.policy();
         let flen = t.meta.value_len().div_ceil(usize::from(p.k.max(1))) as u64;
-        let local = self.local_assigned(&t.meta);
-        let live_set = Self::live_set(t);
-        let missing = local
+        (u64::from(p.k) + t.missing().count() as u64) * flen
+    }
+
+    /// The repair plan for `t`. Donors are live local fragments first,
+    /// those outside the failing racks (the racks hosting the missing
+    /// fragments) ahead of the rest, then the sibling DCs' assigned
+    /// holders; `NodeId` order within each class.
+    fn plan(&self, t: &Tracked) -> Plan {
+        let missing = t.missing();
+        let targets: Vec<(FragmentIndex, NodeId)> = t
+            .meta
+            .assignments()
+            .filter(|(idx, _)| missing.contains(*idx))
+            .map(|(idx, loc)| (idx, loc.fs))
+            .collect();
+        let failing: BTreeSet<usize> = targets
             .iter()
-            .filter(|(idx, _)| !live_set.contains(idx))
-            .count() as u64;
-        (u64::from(p.k) + missing) * flen
+            .filter_map(|(_, fs)| self.topo.rack_of(self.my_dc, *fs))
+            .collect();
+        let mut donors: Vec<(bool, bool, NodeId, FragmentIndex)> = Vec::new();
+        for (idx, loc) in t.meta.assignments() {
+            if !t.local.contains(idx) {
+                donors.push((true, false, loc.fs, idx));
+            } else if t.live.contains(idx) {
+                let sick = self
+                    .topo
+                    .rack_of(self.my_dc, loc.fs)
+                    .is_some_and(|r| failing.contains(&r));
+                donors.push((false, sick, loc.fs, idx));
+            }
+        }
+        donors.sort_unstable();
+        // Each fragment index has exactly one assigned location, so the
+        // first `k` donors are `k` distinct fragments.
+        let donors = donors
+            .into_iter()
+            .take(usize::from(t.meta.policy().k))
+            .map(|(_, _, fs, idx)| (fs, idx))
+            .collect();
+        Plan { targets, donors }
     }
 
     /// Starts the repair of `ov`: pick donors, fire the fetches, arm the
@@ -319,14 +489,7 @@ impl RepairActor {
         let Some(t) = self.tracked.get(&ov) else {
             return;
         };
-        let meta = Arc::clone(&t.meta);
-        let live_set = Self::live_set(t);
-        let local = self.local_assigned(&meta);
-        let targets: Vec<(FragmentIndex, NodeId)> = local
-            .iter()
-            .filter(|(idx, _)| !live_set.contains(idx))
-            .copied()
-            .collect();
+        let Plan { targets, donors } = self.plan(t);
         if targets.is_empty() {
             // A newer report healed it while queued.
             if let Some(t) = self.tracked.get_mut(&ov) {
@@ -335,43 +498,10 @@ impl RepairActor {
             }
             return;
         }
-        // Failing racks: the racks hosting the missing fragments.
-        let failing: BTreeSet<usize> = targets
-            .iter()
-            .filter_map(|(_, fs)| self.topo.rack_of(self.my_dc, *fs))
-            .collect();
-        // Donor candidates: live local fragments first (ordered to avoid
-        // the failing racks), then the sibling DCs' assigned holders.
-        let mut donors: Vec<(bool, bool, NodeId, FragmentIndex)> = Vec::new();
-        for (idx, fs) in &local {
-            if live_set.contains(idx) {
-                let sick = self
-                    .topo
-                    .rack_of(self.my_dc, *fs)
-                    .is_some_and(|r| failing.contains(&r));
-                donors.push((false, sick, *fs, *idx));
-            }
-        }
-        for (idx, loc) in meta.assignments() {
-            if self.topo.dc_of(loc.fs) != Some(self.my_dc) {
-                donors.push((true, false, loc.fs, idx));
-            }
-        }
-        donors.sort_unstable();
-        let k = usize::from(meta.policy().k);
-        let picked: Vec<(NodeId, FragmentIndex)> = {
-            let mut seen = BTreeSet::new();
-            donors
-                .into_iter()
-                .filter(|(_, _, _, idx)| seen.insert(*idx))
-                .take(k)
-                .map(|(_, _, fs, idx)| (fs, idx))
-                .collect()
-        };
         let op = self.next_op;
         self.next_op += 1;
-        let awaiting = picked.len();
-        for (fs, idx) in picked {
+        let awaiting = donors.len();
+        for (fs, idx) in donors {
             ctx.send(
                 fs,
                 Message::RetrieveFrag {
@@ -489,7 +619,7 @@ impl RepairActor {
                 break;
             };
             if self.opts.bandwidth_per_tick > 0 {
-                let cost = self.tracked.get(&ov).map_or(0, |t| self.job_cost(t));
+                let cost = self.tracked.get(&ov).map_or(0, Self::job_cost);
                 if cost > self.tokens {
                     ctx.record_event(EV_REPAIR_THROTTLE_STALLS, 1);
                     break;
@@ -511,40 +641,9 @@ impl Actor<Message> for RepairActor {
     fn on_message(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: Message) {
         match msg {
             Message::RepairReport { entries } => {
-                self.reported.insert(from);
-                let now = ctx.now();
-                // Replace the reporter's inventory wholesale: a fragment
-                // it no longer lists is gone (disk loss, corruption).
-                let mut fresh: BTreeMap<ObjectVersion, BTreeSet<FragmentIndex>> = BTreeMap::new();
-                for (ov, meta, have) in entries {
-                    fresh.insert(ov, have.iter().copied().collect());
-                    let t = self.tracked.entry(ov).or_insert_with(|| Tracked {
-                        meta: Arc::clone(&meta),
-                        have: BTreeMap::new(),
-                        first_seen: now,
-                        state: JobState::Idle,
-                        retries: 0,
-                    });
-                    Metadata::merge_shared(&mut t.meta, &meta);
-                }
-                let touched: Vec<ObjectVersion> = self
-                    .tracked
-                    .iter_mut()
-                    .map(|(&ov, t)| {
-                        match fresh.remove(&ov) {
-                            Some(set) => {
-                                t.have.insert(from, set);
-                            }
-                            None => {
-                                // Not in this report: the FS holds nothing.
-                                t.have.remove(&from);
-                            }
-                        }
-                        ov
-                    })
-                    .collect();
-                for ov in touched {
-                    self.maybe_trigger(ctx, ov);
+                let queued = self.fold_report(from, ctx.now(), &entries);
+                if queued > 0 {
+                    ctx.record_event(EV_REPAIR_TRIGGERED, queued);
                 }
             }
 
@@ -569,9 +668,7 @@ impl Actor<Message> for RepairActor {
                         None
                     }
                 });
-                if let Some(t) = self.tracked.get_mut(&ov) {
-                    t.have.entry(from).or_default().insert(fragment);
-                }
+                self.note_stored(from, ov, fragment);
                 if let Some((op, true)) = done {
                     if let Some(job) = self.jobs.remove(&op) {
                         ctx.cancel_timer(job.timer);
@@ -648,31 +745,47 @@ mod tests {
         Arc::new(m)
     }
 
+    /// Feeds `actor` one report per FS of DC 0, each listing the first
+    /// `live` of `v`'s assigned fragments that FS holds.
+    fn report_all(actor: &mut RepairActor, v: ObjectVersion, meta: &Arc<Metadata>, live: usize) {
+        let kept: Vec<(FragmentIndex, NodeId)> = meta
+            .assignments()
+            .take(live)
+            .map(|(idx, loc)| (idx, loc.fs))
+            .collect();
+        for fs in actor.topo.fss_in(DataCenterId::new(0)).to_vec() {
+            let held =
+                FragMask::from_indices(kept.iter().filter(|(_, f)| *f == fs).map(|(idx, _)| *idx));
+            actor.fold_report(fs, SimTime::ZERO, &[(v, Arc::clone(meta), held)]);
+        }
+    }
+
     #[test]
     fn threshold_is_integer_percent_of_local_target() {
         let t = topo();
-        let v = ov(1);
-        let meta = meta_for(&t, v);
-        let mut actor = RepairActor::new(t, DataCenterId::new(0), RepairOptions::paper_default());
-        let mut have = BTreeMap::new();
-        for (idx, loc) in meta.assignments() {
-            have.entry(loc.fs).or_insert_with(BTreeSet::new).insert(idx);
-        }
-        actor.tracked.insert(
-            v,
-            Tracked {
-                meta,
-                have,
-                first_seen: SimTime::ZERO,
-                state: JobState::Idle,
-                retries: 0,
-            },
-        );
-        assert_eq!(actor.live_fragments(v), 6);
+        let opts = RepairOptions::paper_default();
+        let after = SimTime::ZERO + opts.report_interval;
+        let mut actor = RepairActor::new(t.clone(), DataCenterId::new(0), opts.clone());
         // 6 live of target 6: 600 >= 80*6=480, healthy.
-        let tr = actor.tracked.get(&v).unwrap();
-        let live = RepairActor::live_set(tr).len() as u64;
-        assert!(live * 100 >= 80 * 6);
+        let (healthy, meta) = (ov(1), meta_for(&t, ov(1)));
+        report_all(&mut actor, healthy, &meta, 6);
+        assert_eq!(actor.live_fragments(healthy), 6);
+        let tr = &actor.tracked[&healthy];
+        assert_eq!(tr.local.count(), 6);
+        assert!(!should_trigger(tr, &opts, true, after));
+        // 4 live: 400 < 480 and 4 >= k, so repairable and due — but only
+        // once every FS has reported and a report interval has passed.
+        let (degraded, meta) = (ov(2), meta_for(&t, ov(2)));
+        report_all(&mut actor, degraded, &meta, 4);
+        assert_eq!(actor.live_fragments(degraded), 4);
+        let tr = &actor.tracked[&degraded];
+        assert!(should_trigger(tr, &opts, true, after));
+        assert!(!should_trigger(tr, &opts, false, after));
+        assert!(!should_trigger(tr, &opts, true, SimTime::ZERO));
+        // 5 live: 500 >= 480, above the floor.
+        let (dipped, meta) = (ov(3), meta_for(&t, ov(3)));
+        report_all(&mut actor, dipped, &meta, 5);
+        assert!(!should_trigger(&actor.tracked[&dipped], &opts, true, after));
     }
 
     #[test]
@@ -680,23 +793,368 @@ mod tests {
         let t = topo();
         let v = ov(2);
         let meta = meta_for(&t, v);
-        let actor = RepairActor::new(
+        let mut actor = RepairActor::new(
             t.clone(),
             DataCenterId::new(0),
             RepairOptions::paper_default(),
         );
         // 4 of 6 fragments live -> 2 missing; flen = 1024/4 = 256.
-        let mut have: BTreeMap<NodeId, BTreeSet<FragmentIndex>> = BTreeMap::new();
-        for (idx, loc) in meta.assignments().take(4) {
-            have.entry(loc.fs).or_default().insert(idx);
+        report_all(&mut actor, v, &meta, 4);
+        assert_eq!(RepairActor::job_cost(&actor.tracked[&v]), (4 + 2) * 256);
+    }
+
+    /// The from-scratch fold the actor ran before its inventory became
+    /// incremental, kept as the oracle for [`RepairActor::fold_report`]:
+    /// every report rebuilds a `BTreeMap<ov, BTreeSet>`, replaces the
+    /// reporter's set on every tracked version, and every trigger test,
+    /// cost estimate and plan re-derives the live set and the local
+    /// assignment from scratch.
+    struct Oracle {
+        topo: Arc<Topology>,
+        my_dc: DataCenterId,
+        opts: RepairOptions,
+        tracked: BTreeMap<ObjectVersion, OracleTracked>,
+        queue: VecDeque<ObjectVersion>,
+        reported: BTreeSet<NodeId>,
+        triggered: u64,
+    }
+
+    struct OracleTracked {
+        meta: Arc<Metadata>,
+        have: BTreeMap<NodeId, BTreeSet<FragmentIndex>>,
+        first_seen: SimTime,
+        state: JobState,
+    }
+
+    impl Oracle {
+        fn new(topo: Arc<Topology>, my_dc: DataCenterId, opts: RepairOptions) -> Self {
+            Oracle {
+                topo,
+                my_dc,
+                opts,
+                tracked: BTreeMap::new(),
+                queue: VecDeque::new(),
+                reported: BTreeSet::new(),
+                triggered: 0,
+            }
         }
-        let tracked = Tracked {
-            meta,
-            have,
-            first_seen: SimTime::ZERO,
-            state: JobState::Idle,
-            retries: 0,
+
+        fn report(
+            &mut self,
+            from: NodeId,
+            now: SimTime,
+            entries: &[(ObjectVersion, Arc<Metadata>, FragMask)],
+        ) -> u64 {
+            self.reported.insert(from);
+            let mut fresh: BTreeMap<ObjectVersion, BTreeSet<FragmentIndex>> = BTreeMap::new();
+            for (ov, meta, have) in entries {
+                fresh.insert(*ov, have.iter().collect());
+                let t = self.tracked.entry(*ov).or_insert_with(|| OracleTracked {
+                    meta: Arc::clone(meta),
+                    have: BTreeMap::new(),
+                    first_seen: now,
+                    state: JobState::Idle,
+                });
+                Metadata::merge_shared(&mut t.meta, meta);
+            }
+            let touched: Vec<ObjectVersion> = self
+                .tracked
+                .iter_mut()
+                .map(|(&ov, t)| {
+                    match fresh.remove(&ov) {
+                        Some(set) => {
+                            t.have.insert(from, set);
+                        }
+                        None => {
+                            t.have.remove(&from);
+                        }
+                    }
+                    ov
+                })
+                .collect();
+            let before = self.triggered;
+            for ov in touched {
+                self.maybe_trigger(now, ov);
+            }
+            self.triggered - before
+        }
+
+        fn live_set(t: &OracleTracked) -> BTreeSet<FragmentIndex> {
+            t.have.values().flatten().copied().collect()
+        }
+
+        fn local_assigned(&self, meta: &Metadata) -> Vec<(FragmentIndex, NodeId)> {
+            meta.assignments()
+                .filter(|(_, loc)| self.topo.dc_of(loc.fs) == Some(self.my_dc))
+                .map(|(idx, loc)| (idx, loc.fs))
+                .collect()
+        }
+
+        fn maybe_trigger(&mut self, now: SimTime, ov: ObjectVersion) {
+            let t = &self.tracked[&ov];
+            if t.state != JobState::Idle {
+                return;
+            }
+            if self.reported.len() < self.topo.fss_in(self.my_dc).len() {
+                return;
+            }
+            if now < t.first_seen + self.opts.report_interval {
+                return;
+            }
+            let local = self.local_assigned(&t.meta);
+            let target = local.len() as u64;
+            if target == 0 {
+                return;
+            }
+            let live_set = Self::live_set(t);
+            let live = local
+                .iter()
+                .filter(|(idx, _)| live_set.contains(idx))
+                .count() as u64;
+            let k = u64::from(t.meta.policy().k);
+            let below_threshold = live * 100 < u64::from(self.opts.threshold_pct) * target;
+            let remote = t.meta.location_count() as u64 - target;
+            let repairable = live + remote >= k && live < target;
+            if below_threshold && repairable {
+                self.tracked.get_mut(&ov).unwrap().state = JobState::Queued;
+                self.queue.push_back(ov);
+                self.triggered += 1;
+            }
+        }
+
+        fn stored(&mut self, from: NodeId, ov: ObjectVersion, idx: FragmentIndex) {
+            if let Some(t) = self.tracked.get_mut(&ov) {
+                t.have.entry(from).or_default().insert(idx);
+            }
+        }
+
+        fn job_cost(&self, t: &OracleTracked) -> u64 {
+            let p = t.meta.policy();
+            let flen = t.meta.value_len().div_ceil(usize::from(p.k.max(1))) as u64;
+            let live_set = Self::live_set(t);
+            let missing = self
+                .local_assigned(&t.meta)
+                .iter()
+                .filter(|(idx, _)| !live_set.contains(idx))
+                .count() as u64;
+            (u64::from(p.k) + missing) * flen
+        }
+
+        fn plan(&self, t: &OracleTracked) -> Plan {
+            let live_set = Self::live_set(t);
+            let local = self.local_assigned(&t.meta);
+            let targets: Vec<(FragmentIndex, NodeId)> = local
+                .iter()
+                .filter(|(idx, _)| !live_set.contains(idx))
+                .copied()
+                .collect();
+            let failing: BTreeSet<usize> = targets
+                .iter()
+                .filter_map(|(_, fs)| self.topo.rack_of(self.my_dc, *fs))
+                .collect();
+            let mut donors: Vec<(bool, bool, NodeId, FragmentIndex)> = Vec::new();
+            for (idx, fs) in &local {
+                if live_set.contains(idx) {
+                    let sick = self
+                        .topo
+                        .rack_of(self.my_dc, *fs)
+                        .is_some_and(|r| failing.contains(&r));
+                    donors.push((false, sick, *fs, *idx));
+                }
+            }
+            for (idx, loc) in t.meta.assignments() {
+                if self.topo.dc_of(loc.fs) != Some(self.my_dc) {
+                    donors.push((true, false, loc.fs, idx));
+                }
+            }
+            donors.sort_unstable();
+            let mut seen = BTreeSet::new();
+            let picked = donors
+                .into_iter()
+                .filter(|(_, _, _, idx)| seen.insert(*idx))
+                .take(usize::from(t.meta.policy().k))
+                .map(|(_, _, fs, idx)| (fs, idx))
+                .collect();
+            Plan {
+                targets,
+                donors: picked,
+            }
+        }
+    }
+
+    /// SplitMix64, for the differential test's random choices.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// Two DCs of 1 KLS + 6 FSs in 3 racks (DC 0 FSs are nodes 1..=6,
+    /// DC 1 FSs are nodes 8..=13).
+    fn two_dc_topo() -> Arc<Topology> {
+        Topology::with_racks(
+            (0..2u32)
+                .map(|dc| {
+                    let base = dc * 7;
+                    (
+                        vec![NodeId::new(base)],
+                        (base + 1..=base + 6).map(NodeId::new).collect::<Vec<_>>(),
+                    )
+                })
+                .collect(),
+            3,
+        )
+    }
+
+    /// One version's metadata before (home DC only) and after it learns
+    /// the second DC.
+    struct Version {
+        ov: ObjectVersion,
+        partial: Arc<Metadata>,
+        full: Arc<Metadata>,
+    }
+
+    fn versions(topo: &Topology, rng: &mut Rng) -> Vec<Version> {
+        let p = Policy::paper_default();
+        (1..=16u64)
+            .map(|n| {
+                let v = ov(n);
+                let home = DataCenterId::new(rng.below(2) as u8);
+                let other = DataCenterId::new(1 - home.index() as u8);
+                let mut m = Metadata::new(p, home, 4096);
+                m.add_dc_locations(home, Kls::which_locs(topo, home, v, &p));
+                let partial = Arc::new(m.clone());
+                m.add_dc_locations(other, Kls::which_locs(topo, other, v, &p));
+                Version {
+                    ov: v,
+                    partial,
+                    full: Arc::new(m),
+                }
+            })
+            .collect()
+    }
+
+    /// Drives the incremental fold and the oracle through one random
+    /// sequence of reports (adding, shrinking and omitting versions, with
+    /// metadata that learns its second DC), repair-push acks between
+    /// reports and queue drains, asserting after every step that both
+    /// agree on what was triggered, the queue order, the backlog, every
+    /// version's live count, job cost and repair plan.
+    fn differential_run(seed: u64, my_dc: DataCenterId, opts: RepairOptions) -> u64 {
+        let topo = two_dc_topo();
+        let mut rng = Rng(seed);
+        let vs = versions(&topo, &mut rng);
+        let mut actor = RepairActor::new(topo.clone(), my_dc, opts.clone());
+        let mut oracle = Oracle::new(topo.clone(), my_dc, opts);
+        let all_fss: Vec<NodeId> = topo.all_fss().collect();
+        let mine = topo.fss_in(my_dc).to_vec();
+        let mut now = SimTime::ZERO;
+        for _ in 0..300 {
+            now += SimDuration::from_secs(rng.below(16));
+            match rng.below(10) {
+                0..=5 => {
+                    // Mostly the DC's own FSs; now and then a stray sender.
+                    let from = if rng.chance(90) {
+                        mine[rng.below(mine.len() as u64) as usize]
+                    } else {
+                        all_fss[rng.below(all_fss.len() as u64) as usize]
+                    };
+                    let listed = rng.below(100);
+                    let mut entries = Vec::new();
+                    for v in &vs {
+                        if rng.below(100) >= listed {
+                            continue;
+                        }
+                        let meta = if rng.chance(50) { &v.full } else { &v.partial };
+                        let mut held = FragMask::new();
+                        for idx in v.full.assigned_to(from) {
+                            if rng.chance(80) {
+                                held.insert(idx);
+                            }
+                        }
+                        if rng.chance(10) {
+                            held.insert(rng.below(12) as FragmentIndex);
+                        }
+                        entries.push((v.ov, Arc::clone(meta), held));
+                    }
+                    let got = actor.fold_report(from, now, &entries);
+                    assert_eq!(got, oracle.report(from, now, &entries), "seed {seed}");
+                }
+                6 | 7 => {
+                    let from = all_fss[rng.below(all_fss.len() as u64) as usize];
+                    let v = &vs[rng.below(vs.len() as u64) as usize];
+                    let idx = rng.below(12) as FragmentIndex;
+                    actor.note_stored(from, v.ov, idx);
+                    oracle.stored(from, v.ov, idx);
+                }
+                _ => {
+                    // A drain: the head job starts and is later abandoned
+                    // or completed, either way leaving the version idle.
+                    if let Some(ov) = actor.queue.pop_front() {
+                        actor.tracked.get_mut(&ov).unwrap().state = JobState::Idle;
+                    }
+                    if let Some(ov) = oracle.queue.pop_front() {
+                        oracle.tracked.get_mut(&ov).unwrap().state = JobState::Idle;
+                    }
+                }
+            }
+            assert_eq!(actor.queue, oracle.queue, "seed {seed}");
+            assert_eq!(actor.jobs_triggered(), oracle.triggered);
+            assert_eq!(actor.backlog(), oracle.queue.len());
+            assert_eq!(
+                actor.tracked.keys().collect::<Vec<_>>(),
+                oracle.tracked.keys().collect::<Vec<_>>()
+            );
+            for v in &vs {
+                let want = oracle
+                    .tracked
+                    .get(&v.ov)
+                    .map_or(0, |t| Oracle::live_set(t).len());
+                assert_eq!(actor.live_fragments(v.ov), want, "seed {seed}");
+            }
+            for (ov, t) in &actor.tracked {
+                let o = &oracle.tracked[ov];
+                assert_eq!(t.meta, o.meta);
+                assert_eq!(RepairActor::job_cost(t), oracle.job_cost(o));
+                assert_eq!(actor.plan(t), oracle.plan(o), "seed {seed}");
+            }
+        }
+        actor.jobs_triggered()
+    }
+
+    #[test]
+    fn incremental_fold_matches_the_from_scratch_oracle() {
+        let eager = RepairOptions {
+            threshold_pct: 100,
+            report_interval: SimDuration::ZERO,
+            ..RepairOptions::paper_default()
         };
-        assert_eq!(actor.job_cost(&tracked), (4 + 2) * 256);
+        let lax = RepairOptions {
+            threshold_pct: 50,
+            report_interval: SimDuration::from_secs(10),
+            ..RepairOptions::paper_default()
+        };
+        let mut triggered = 0;
+        for seed in 0..4u64 {
+            for dc in 0..2u8 {
+                for opts in [RepairOptions::paper_default(), eager.clone(), lax.clone()] {
+                    triggered += differential_run(seed, DataCenterId::new(dc), opts);
+                }
+            }
+        }
+        assert!(
+            triggered > 1000,
+            "the runs must exercise triggering: {triggered}"
+        );
     }
 }

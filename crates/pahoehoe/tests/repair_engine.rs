@@ -4,10 +4,12 @@
 
 use pahoehoe::client::{Client, ClientOp};
 use pahoehoe::cluster::{Cluster, ClusterConfig};
-use pahoehoe::fs::Fs;
+use pahoehoe::fs::{Fs, WAKE_TIMER_TAG};
 use pahoehoe::repair::RepairOptions;
 use pahoehoe::types::{Key, ObjectVersion};
-use simnet::{NodeId, RunOutcome, SimDuration};
+use pahoehoe::workload::{KeyDistribution, StreamingWorkload};
+use pahoehoe::ProtocolMode;
+use simnet::{NetworkConfig, NodeId, RunOutcome, SimDuration, SimTime};
 
 fn repair_cfg(puts: usize) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper_default();
@@ -190,4 +192,104 @@ fn paced_scrub_detects_corruption_without_starving_the_protocol() {
         cluster.fs(victim).corruption_detected() >= 1,
         "paced scrub still re-hashes the whole store"
     );
+}
+
+/// Everything the repair schedule of a run decides: per-DC job counts,
+/// per-kind message counts and bytes, drops, events processed and the
+/// final simulated time.
+#[derive(Debug, PartialEq, Eq)]
+struct Schedule {
+    jobs: Vec<(u64, u64, u64)>,
+    kinds: Vec<(&'static str, u64, u64)>,
+    dropped: u64,
+    events: u64,
+    end_micros: u64,
+}
+
+fn schedule(cluster: &Cluster) -> Schedule {
+    let jobs = (0..cluster.repair_ids().len())
+        .map(|dc| {
+            let r = cluster.repair_actor(dc);
+            (r.jobs_triggered(), r.jobs_completed(), r.jobs_abandoned())
+        })
+        .collect();
+    let m = cluster.view().metrics();
+    Schedule {
+        jobs,
+        kinds: m
+            .iter()
+            .filter(|(_, k)| k.count > 0)
+            .map(|(name, k)| (name, k.count, k.bytes))
+            .collect(),
+        dropped: m.dropped(),
+        events: cluster.view().events_processed(),
+        end_micros: cluster.view().now().as_micros(),
+    }
+}
+
+/// Pins the exact repair schedule of a small deployment-shaped run:
+/// compaction on, 2 % random drops, Zipf overwrites, and both disks of
+/// one DC-0 server lost mid-stream. Any change to when reports are built,
+/// how the repair actor folds them, or which versions it triggers shows
+/// up here as a changed job count, message count, byte count, event
+/// count or end time. The values were recorded before the inventory
+/// pipeline was made allocation-free; that rewrite must reproduce them
+/// exactly.
+#[test]
+fn repair_schedule_is_pinned_under_compaction_drops_and_a_mid_stream_loss() {
+    let mut cfg = repair_cfg(0);
+    cfg.protocol = ProtocolMode::scale();
+    cfg.network = NetworkConfig::with_drop_rate(0.02);
+    cfg.streaming_workload = Some(StreamingWorkload {
+        puts: 240,
+        key_space: 40,
+        value_len: 2048,
+        policy: cfg.policy,
+        seed: 5,
+        dist: KeyDistribution::Zipf { exponent: 1.1 },
+        overwrite_delta_permille: 0,
+    });
+    let mut cluster = Cluster::build(cfg, 13);
+    cluster.run_until_time(SimTime::ZERO + SimDuration::from_secs(40));
+    assert!(!cluster.client().is_done(), "the loss must land mid-stream");
+    let victim = cluster.layout().fs(0, 0);
+    let now = cluster.view().now();
+    let lost = {
+        let fs = cluster.actor_mut::<Fs>(victim);
+        fs.destroy_disk(0, now) + fs.destroy_disk(1, now)
+    };
+    assert_eq!(lost, 184);
+    cluster.schedule_timer(victim, SimDuration::ZERO, WAKE_TIMER_TAG);
+    cluster.run_until_time(now + SimDuration::from_secs(900));
+    assert!(cluster.client().is_done());
+    assert_eq!(schedule(&cluster), expected_schedule());
+}
+
+fn expected_schedule() -> Schedule {
+    Schedule {
+        // (triggered, completed, abandoned) for DC 0 and DC 1.
+        jobs: vec![(652, 78, 442), (604, 2, 472)],
+        kinds: vec![
+            ("AMRIndication", 1509, 214278),
+            ("ClientPutRep", 244, 16836),
+            ("ClientPutReq", 252, 531468),
+            ("DecideLocsRep", 958, 92926),
+            ("DecideLocsReq", 976, 64416),
+            ("FSConvergeRep", 2207, 1589392),
+            ("FSConvergeReq", 2065, 295295),
+            ("FSDecideLocsReq", 1, 106),
+            ("KLSConvergeRep", 1263, 77043),
+            ("KLSConvergeReq", 1292, 183464),
+            ("RetrieveFragRep", 16655, 1665050),
+            ("RetrieveFragReq", 16974, 1171206),
+            ("SiblingStoreReq", 1, 654),
+            ("StoreFragmentRep", 3051, 186111),
+            ("StoreFragmentReq", 3112, 1985656),
+            ("StoreMetadataRep", 2633, 160613),
+            ("StoreMetadataReq", 2684, 345992),
+        ],
+        dropped: 1120,
+        events: 58068,
+        end_micros: 940_000_000,
+    }
 }

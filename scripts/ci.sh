@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark tests (perfbench is a cargo package of its own)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> determinism lint"
 cargo run -p check --bin lint
 
