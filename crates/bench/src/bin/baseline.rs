@@ -29,7 +29,6 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use erasure::{Checksum, Codec, CodecImpl};
@@ -695,11 +694,6 @@ fn engine_json(mode: &str, sections: &[String], sweep: &SweepNumbers) -> String 
     )
 }
 
-/// The workspace root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (mode, value_len, iters, puts, reps) = if smoke {
@@ -890,7 +884,7 @@ fn main() {
         protocol_blocks.push(protocol_scenario_json(name, &entries, pr3_events_per_sec));
     }
 
-    let root = repo_root();
+    let root = bench::out_dir(smoke);
     let codec_path = root.join("BENCH_codec.json");
     let engine_path = root.join("BENCH_engine.json");
     let conv_path = root.join("BENCH_convergence.json");

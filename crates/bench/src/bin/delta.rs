@@ -21,7 +21,6 @@
 //! ```
 
 use std::cell::Cell as StdCell;
-use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use pahoehoe::client::Client;
@@ -308,11 +307,6 @@ fn json_u64(line: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The workspace root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn parse_cell(args: &[String]) -> Cell {
     let get = |flag: &str| -> Option<&str> {
         args.iter()
@@ -488,7 +482,7 @@ fn main() {
         lines.join(",\n    "),
         pair_json.join(",\n    "),
     );
-    let path = repo_root().join("BENCH_delta.json");
+    let path = bench::out_dir(smoke).join("BENCH_delta.json");
     std::fs::write(&path, json).expect("write BENCH_delta.json");
     eprintln!("wrote {}", path.display());
 }

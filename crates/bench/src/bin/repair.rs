@@ -24,8 +24,6 @@
 //! cargo run -p bench --release --bin repair -- --smoke # CI subset
 //! ```
 
-use std::path::{Path, PathBuf};
-
 use pahoehoe::client::{Client, ClientOp};
 use pahoehoe::cluster::{Cluster, ClusterConfig};
 use pahoehoe::fs::Fs;
@@ -236,11 +234,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
     ]
 }
 
-/// The workspace root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn counter(r: &CellResult, label: &str) -> u64 {
     r.counters
         .iter()
@@ -334,7 +327,7 @@ fn main() {
         cell_lines.join(",\n    "),
         pair_json.join(",\n    "),
     );
-    let path = repo_root().join("BENCH_repair.json");
+    let path = bench::out_dir(smoke).join("BENCH_repair.json");
     std::fs::write(&path, json).expect("write BENCH_repair.json");
     eprintln!("wrote {}", path.display());
 }

@@ -25,7 +25,6 @@
 //! check and would dominate a million-key run.
 
 use std::cell::{Cell as StdCell, RefCell};
-use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::rc::Rc;
 
@@ -412,11 +411,6 @@ fn json_u64(line: &str, field: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The workspace root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 fn parse_cell(args: &[String]) -> Cell {
     let get = |flag: &str| -> Option<&str> {
         args.iter()
@@ -572,7 +566,7 @@ fn main() {
         jf(growth(false).unwrap_or(f64::NAN)),
         jf(saved.unwrap_or(f64::NAN)),
     );
-    let path = repo_root().join("BENCH_scale.json");
+    let path = bench::out_dir(smoke).join("BENCH_scale.json");
     std::fs::write(&path, json).expect("write BENCH_scale.json");
     eprintln!("wrote {}", path.display());
 }

@@ -20,6 +20,21 @@
 //! needed to read its numbers honestly (a 4-worker parallel cell on a
 //! single-core runner cannot speed up, and the record says so).
 
+use std::path::{Path, PathBuf};
+
+/// The directory a `BENCH_*.json` writer records into: the workspace root
+/// for a full run, `target/bench-smoke/` (created if missing) for a
+/// `--smoke` run, so smoke runs never overwrite the checked-in records.
+pub fn out_dir(smoke: bool) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    if !smoke {
+        return root;
+    }
+    let dir = root.join("target/bench-smoke");
+    std::fs::create_dir_all(&dir).expect("create target/bench-smoke");
+    dir
+}
+
 /// Logical CPUs available to this process (1 when undetectable).
 pub fn nproc() -> usize {
     std::thread::available_parallelism()

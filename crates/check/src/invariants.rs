@@ -334,10 +334,11 @@ impl Invariant for NoResurrection {
 // ---------------------------------------------------------------------------
 
 /// Every fragment a server stores verifies against the content hash
-/// recorded when it was durably stored, and every stored fragment *has* a
-/// recorded hash — the §3.1 corruption-detection bookkeeping is never
-/// stale. Catches any write path that stores or mutates fragment bytes
-/// without updating the checksum.
+/// recorded when it was durably stored — the §3.1 corruption-detection
+/// bookkeeping is never stale. (That every stored fragment *has* a
+/// recorded hash is a type-level guarantee: the FS fragment table stores
+/// `(fragment, checksum)` pairs.) Catches any write path that stores or
+/// mutates fragment bytes without updating the checksum.
 pub struct ChecksumIntegrity;
 
 impl Invariant for ChecksumIntegrity {
@@ -361,21 +362,13 @@ impl Invariant for ChecksumIntegrity {
                     }
                     continue;
                 };
-                for (&idx, frag) in &entry.fragments {
-                    match entry.checksums.get(&idx) {
-                        None => {
-                            return Err(format!(
-                                "{fs:?} stores fragment {idx} of {ov:?} with no recorded checksum"
-                            ));
-                        }
-                        Some(sum) => {
-                            if *sum != Checksum::of(frag.data()) {
-                                return Err(format!(
-                                    "{fs:?} stores fragment {idx} of {ov:?} whose bytes \
-                                     mismatch its recorded checksum"
-                                ));
-                            }
-                        }
+                for (frag, sum) in entry.fragments.with_checksums() {
+                    if *sum != Checksum::of(frag.data()) {
+                        return Err(format!(
+                            "{fs:?} stores fragment {} of {ov:?} whose bytes \
+                             mismatch its recorded checksum",
+                            frag.index()
+                        ));
                     }
                 }
             }

@@ -71,6 +71,12 @@ impl Fragment {
         self.index
     }
 
+    /// The fragment's index by reference, for map-like views keyed by the
+    /// index each fragment already carries.
+    pub fn index_ref(&self) -> &FragmentIndex {
+        &self.index
+    }
+
     /// The fragment payload.
     pub fn data(&self) -> &Bytes {
         &self.data

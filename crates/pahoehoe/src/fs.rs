@@ -27,10 +27,11 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use erasure::{Checksum, Codec, Fragment, FragmentIndex};
+use erasure::{Codec, Fragment, FragmentIndex};
 use simnet::{Actor, Context, NodeId, SimTime, TimerId};
 
 use crate::convergence::{ConvergenceOptions, RoundSchedule};
+use crate::fragtable::FragTable;
 use crate::messages::{Message, OpId, EV_DELTAS_RESOLVED, EV_DELTA_UNRESOLVABLE};
 use crate::metadata::Metadata;
 use crate::protocol::{FragMask, ProtocolMode};
@@ -57,12 +58,11 @@ pub struct FragEntry {
     /// Best-known metadata (shared by refcount in optimized mode; see
     /// [`ProtocolMode`]).
     pub meta: Arc<Metadata>,
-    /// The sibling fragments this server holds, by fragment index.
-    pub fragments: BTreeMap<FragmentIndex, Fragment>,
-    /// Content hash recorded when each fragment was durably stored; the
+    /// The sibling fragments this server holds, by fragment index, each
+    /// with the content hash recorded when it was durably stored; the
     /// scrubber and the read path verify against it to "detect disk
     /// corruption using hashes" (§3.1).
-    pub checksums: BTreeMap<FragmentIndex, Checksum>,
+    pub fragments: FragTable,
 }
 
 /// Convergence bookkeeping for one not-yet-AMR object version.
@@ -1024,16 +1024,15 @@ impl Fs {
         let Some(entry) = self.store.entry_mut(ov) else {
             return false;
         };
-        let Some(frag) = entry.fragments.get_mut(&idx) else {
+        let Some(frag) = entry.fragments.get(&idx) else {
             return false;
         };
-        if frag.is_empty() {
-            return false;
-        }
         let mut bytes = frag.data().to_vec();
-        bytes[0] ^= 0xFF;
-        *frag = Fragment::new(idx, bytes);
-        true
+        let Some(first) = bytes.first_mut() else {
+            return false;
+        };
+        *first ^= 0xFF;
+        entry.fragments.overwrite_payload(idx, bytes)
     }
 
     /// Destroys one disk: every fragment this server stores on `disk`
@@ -1070,7 +1069,6 @@ impl Fs {
             let entry = self.store.entry_mut(ov).expect("present");
             for idx in &doomed {
                 entry.fragments.remove(idx);
-                entry.checksums.remove(idx);
                 lost += 1;
             }
             self.re_pend(ov, now);
@@ -1123,14 +1121,10 @@ impl Fs {
                 let Some(entry) = self.store.entry_at_mut(ov, hint) else {
                     continue;
                 };
-                for (&idx, frag) in &entry.fragments {
+                for (frag, sum) in entry.fragments.with_checksums() {
                     scanned += frag.len();
-                    if !entry
-                        .checksums
-                        .get(&idx)
-                        .is_some_and(|sum| sum.verify(frag.data()))
-                    {
-                        bad.insert(idx);
+                    if !sum.verify(frag.data()) {
+                        bad.insert(frag.index());
                     }
                 }
                 if bad.is_empty() {
@@ -1138,7 +1132,6 @@ impl Fs {
                 }
                 for idx in bad.iter() {
                     entry.fragments.remove(&idx);
-                    entry.checksums.remove(&idx);
                     found += 1;
                 }
             }
@@ -1237,10 +1230,7 @@ impl Fs {
         let mode = self.mode;
         let Some((entry, _inserted)) = self.store.entry_or_insert_with(ov, now, || FragEntry {
             meta: mode.share(meta),
-            // lint:allow(hot-path-alloc): an empty BTreeMap allocates nothing until an insert
-            fragments: BTreeMap::new(),
-            // lint:allow(hot-path-alloc): an empty BTreeMap allocates nothing until an insert
-            checksums: BTreeMap::new(),
+            fragments: FragTable::new(),
         }) else {
             // Compacted: the version is settled AMR with complete
             // metadata, so a full store's merge would be a no-op and
@@ -1674,17 +1664,23 @@ impl Fs {
     /// siblings reported missing) and push the siblings' shares to them.
     fn try_finish_recovery(&mut self, ctx: &mut Context<'_, Message>, ov: ObjectVersion) {
         let me = ctx.self_id();
-        let (policy, value_len, meta, my_mask, pool, sibling_needs) = {
+        let (policy, value_len, meta, my_mask, sources, sibling_needs) = {
             // lint:allow(panic-path): recovery in flight implies stored
             let entry = self.store.entry(ov).expect("recovering implies stored");
             // lint:allow(panic-path): recovery in flight implies pending
             let work = self.store.work(ov).expect("recovering");
             // lint:allow(panic-path): callers reach here only with a recovery in flight
             let rec = work.recovery.as_ref().expect("recovery in flight");
-            let mut pool: BTreeMap<FragmentIndex, Fragment> = entry.fragments.clone();
-            for (idx, frag) in &rec.collected {
-                pool.entry(*idx).or_insert_with(|| frag.clone());
-            }
+            // Held fragments first, then fetched ones we do not hold, in
+            // index order.
+            let mut sources: Vec<Fragment> = entry.fragments.values().cloned().collect();
+            sources.extend(
+                rec.collected
+                    .iter()
+                    .filter(|(idx, _)| !entry.fragments.contains_key(idx))
+                    .map(|(_, frag)| frag.clone()),
+            );
+            sources.sort_unstable_by_key(Fragment::index);
             let mut sibling_needs: Vec<(NodeId, Vec<FragmentIndex>)> = Vec::new();
             if self.opts.sibling_recovery {
                 for (&fs, (_, missing)) in &rec.reports {
@@ -1698,12 +1694,12 @@ impl Fs {
                 entry.meta.value_len(),
                 Arc::clone(&entry.meta),
                 Self::missing_mask(entry, me),
-                pool,
+                sources,
                 sibling_needs,
             )
         };
         let k = usize::from(policy.k);
-        if pool.len() < k {
+        if sources.len() < k {
             return; // keep waiting for more RetrieveFragReply
         }
 
@@ -1717,11 +1713,10 @@ impl Fs {
         }
         let targets: Vec<FragmentIndex> = target_mask.iter().collect();
 
-        let sources: Vec<Fragment> = pool.values().cloned().collect();
         let mut recovered = std::mem::take(&mut self.recover_scratch);
         self.codec(policy.k, policy.n)
             .recover_into(&sources, &targets, value_len, &mut recovered)
-            // lint:allow(panic-path): pool.len() >= k checked above
+            // lint:allow(panic-path): sources.len() >= k checked above
             .expect("k fragments suffice");
         let by_idx: BTreeMap<FragmentIndex, Fragment> =
             recovered.drain(..).map(|f| (f.index(), f)).collect();
@@ -1733,9 +1728,7 @@ impl Fs {
             let entry = self.store.entry_mut(ov).expect("present");
             for idx in my_mask.iter() {
                 // lint:allow(panic-path): recover_into returns a fragment for every requested target
-                let frag = by_idx[&idx].clone();
-                entry.checksums.insert(idx, Checksum::of(frag.data()));
-                entry.fragments.insert(idx, frag);
+                entry.fragments.insert(by_idx[&idx].clone());
             }
         }
         // Push the siblings' recovered fragments to them (§4.2).
@@ -1842,11 +1835,7 @@ impl Fs {
         // this as a duplicate of a fragment it already holds — in both
         // cases the store is unchanged and note_progress still runs.
         if let Some(entry) = self.store.entry_mut(ov) {
-            let idx = fragment.index();
-            if !entry.fragments.contains_key(&idx) {
-                entry.checksums.insert(idx, Checksum::of(fragment.data()));
-                entry.fragments.insert(idx, fragment);
-            }
+            entry.fragments.insert(fragment);
         }
         self.note_progress(ctx, ov);
         true
@@ -2045,29 +2034,22 @@ impl Actor<Message> for Fs {
                 // is corrupt — drop it, answer ⊥, and let convergence
                 // regenerate it (§3.1).
                 let mut data = None;
+                let mut corrupt = false;
                 if let Some(entry) = self.store.entry(ov) {
-                    if let Some(frag) = entry.fragments.get(&fragment) {
-                        let ok = entry
-                            .checksums
-                            .get(&fragment)
-                            .is_some_and(|sum| sum.verify(frag.data()));
-                        if ok {
+                    if let Some((frag, sum)) = entry.fragments.get_with_checksum(&fragment) {
+                        if sum.verify(frag.data()) {
                             data = Some(frag.clone());
+                        } else {
+                            corrupt = true;
                         }
                     }
                 }
-                if data.is_none()
-                    && self
-                        .store
-                        .entry(ov)
-                        .is_some_and(|e| e.fragments.contains_key(&fragment))
-                {
+                if corrupt {
                     // Present but corrupt.
                     let now = ctx.now();
-                    // lint:allow(panic-path): the entry was checked present just above
-                    let entry = self.store.entry_mut(ov).expect("present");
-                    entry.fragments.remove(&fragment);
-                    entry.checksums.remove(&fragment);
+                    if let Some(entry) = self.store.entry_mut(ov) {
+                        entry.fragments.remove(&fragment);
+                    }
                     self.corruption_detected += 1;
                     self.re_pend(ov, now);
                     self.ensure_round(ctx);

@@ -2,8 +2,10 @@
 //!
 //! A KLS maintains two persistent stores (§3.2): a **timestamp store**
 //! mapping each key to its object versions, and a **metadata store**
-//! mapping each object version to its `(policy, locations)` metadata. It
-//! answers location-decision requests for *its own* data center, absorbs
+//! mapping each object version to its `(policy, locations)` metadata.
+//! Both are one map keyed by object version: versions order by
+//! `(key, ts)`, so a key's range of the metadata store is its timestamp
+//! store. It answers location-decision requests for *its own* data center, absorbs
 //! metadata stores from proxies, answers convergence probes from fragment
 //! servers, and serves the version list for gets.
 //!
@@ -20,7 +22,8 @@
 //! across fragment servers over many objects.
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use simnet::{Actor, Context, NodeId};
@@ -37,7 +40,9 @@ pub struct Kls {
     topo: Arc<Topology>,
     my_dc: DataCenterId,
     mode: ProtocolMode,
-    storets: BTreeMap<Key, BTreeSet<Timestamp>>,
+    /// The metadata store, which doubles as the timestamp store: object
+    /// versions order by `(key, ts)`, so one key's versions are a
+    /// contiguous range in timestamp order.
     storemeta: BTreeMap<ObjectVersion, Arc<Metadata>>,
 }
 
@@ -56,7 +61,6 @@ impl Kls {
             topo,
             my_dc,
             mode,
-            storets: BTreeMap::new(),
             storemeta: BTreeMap::new(),
         }
     }
@@ -178,14 +182,13 @@ impl Kls {
         h
     }
 
-    /// Merges `meta` into the metadata store and records the version in
-    /// the timestamp store. Returns whether anything new was learned.
+    /// Merges `meta` into the metadata store (whose key order makes it
+    /// the timestamp store too). Returns whether anything new was learned.
     /// Adopting a first sighting is a refcount bump (or, in reference
     /// mode, the seed's deep copy); merging copies-on-write only when the
     /// probe actually teaches this KLS something.
     // lint:hot
     fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> bool {
-        self.storets.entry(ov.key).or_default().insert(ov.ts);
         match self.storemeta.get_mut(&ov) {
             Some(existing) => Metadata::merge_shared(existing, meta),
             None => {
@@ -211,10 +214,22 @@ impl Kls {
 
     /// Known timestamps for `key`, oldest first.
     pub fn versions_of(&self, key: Key) -> Vec<Timestamp> {
-        self.storets
-            .get(&key)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        self.key_range(key, None).map(|(ov, _)| ov.ts).collect()
+    }
+
+    /// `key`'s stored versions, oldest first: all of them, or only those
+    /// strictly older than `older_than`.
+    fn key_range(
+        &self,
+        key: Key,
+        older_than: Option<Timestamp>,
+    ) -> btree_map::Range<'_, ObjectVersion, Arc<Metadata>> {
+        let lo = Bound::Included(ObjectVersion::new(key, Timestamp::MIN));
+        let hi = match older_than {
+            Some(cur) => Bound::Excluded(ObjectVersion::new(key, cur)),
+            None => Bound::Included(ObjectVersion::new(key, Timestamp::MAX)),
+        };
+        self.storemeta.range((lo, hi))
     }
 
     /// Every object version this KLS knows about.
@@ -324,22 +339,17 @@ impl Actor<Message> for Kls {
                 limit,
                 older_than,
             } => {
-                // Page newest-first, strictly older than the cursor.
-                let mut all = self.versions_of(key);
-                all.reverse(); // newest first
-                let page: Vec<Timestamp> = all
-                    .into_iter()
-                    .filter(|ts| older_than.is_none_or(|cur| *ts < cur))
+                // Page newest-first, strictly older than the cursor: walk
+                // the key's range backwards, one entry past the page to
+                // learn whether more remain.
+                let limit = usize::from(limit);
+                let mut newest_first = self.key_range(key, older_than).rev();
+                let versions: Vec<(Timestamp, Arc<Metadata>)> = newest_first
+                    .by_ref()
+                    .take(limit)
+                    .map(|(ov, m)| (ov.ts, self.mode.share(m)))
                     .collect();
-                let more = page.len() > usize::from(limit);
-                let versions: Vec<(Timestamp, Arc<Metadata>)> = page
-                    .into_iter()
-                    .take(usize::from(limit))
-                    .filter_map(|ts| {
-                        let ov = ObjectVersion::new(key, ts);
-                        self.storemeta.get(&ov).map(|m| (ts, self.mode.share(m)))
-                    })
-                    .collect();
+                let more = newest_first.next().is_some();
                 ctx.send(
                     from,
                     Message::RetrieveTsReply {
@@ -373,6 +383,7 @@ impl Actor<Message> for Kls {
 mod tests {
     use super::*;
     use simnet::SimTime;
+    use std::collections::BTreeSet;
 
     fn topo() -> Arc<Topology> {
         Topology::new(vec![

@@ -45,6 +45,7 @@ pub mod analysis;
 pub mod client;
 pub mod cluster;
 pub mod convergence;
+pub mod fragtable;
 pub mod fs;
 pub mod kls;
 pub mod messages;

@@ -144,18 +144,41 @@ impl Metadata {
             || (self.delta_base.is_none() && other.delta_base.is_some())
     }
 
-    /// Merges `src` into the shared handle `dst`, copying-on-write only
-    /// when something is actually learned. Returns `true` if `dst`
-    /// changed. Equivalent to `dst.merge(src)` on owned metadata; the
-    /// `Arc::ptr_eq` fast path skips even the field comparisons when both
-    /// handles are the same snapshot (the common case once a version
-    /// settles).
+    /// Whether `self` holds everything `dst` holds, so that merging
+    /// `self` into `dst` yields exactly `self`: same policy and home DC,
+    /// every DC `dst` decided present here with identical locations, and
+    /// `dst`'s value length and delta base either equal to ours or still
+    /// unset.
+    fn covers(&self, dst: &Metadata) -> bool {
+        self.policy == dst.policy
+            && self.home_dc == dst.home_dc
+            && (dst.value_len == self.value_len || dst.value_len == 0)
+            && (dst.delta_base == self.delta_base || dst.delta_base.is_none())
+            && dst
+                .locs
+                .iter()
+                .all(|(dc, locs)| self.locs.get(dc) == Some(locs))
+    }
+
+    /// Merges `src` into the shared handle `dst`. Returns `true` if `dst`
+    /// learned anything; the resulting value always equals
+    /// `dst.merge(src)` on owned metadata. When `src` covers `dst` (the
+    /// merge result *is* `src`), `dst` adopts `src`'s handle instead of
+    /// keeping or copying its own, so every holder of a settled version
+    /// converges on one allocation. Otherwise it copies-on-write only when
+    /// something is learned. The `Arc::ptr_eq` fast path skips even the
+    /// field comparisons when both handles are already the same snapshot.
     // lint:hot
     pub fn merge_shared(dst: &mut Arc<Metadata>, src: &Arc<Metadata>) -> bool {
-        if Arc::ptr_eq(dst, src) || !dst.would_learn_from(src) {
+        if Arc::ptr_eq(dst, src) {
             return false;
         }
-        Arc::make_mut(dst).merge(src)
+        let learned = dst.would_learn_from(src);
+        if src.covers(dst) {
+            *dst = Arc::clone(src);
+            return learned;
+        }
+        learned && Arc::make_mut(dst).merge(src)
     }
 
     /// Whether the proxy/FS knows locations for `dc` already (the paper's
@@ -385,24 +408,45 @@ mod tests {
     }
 
     #[test]
-    fn merge_shared_copies_only_on_learning() {
+    fn merge_shared_adopts_covering_handles_and_copies_only_on_learning() {
         let full = Arc::new(meta_with_both_dcs());
         let mut partial_owned = Metadata::new(Policy::paper_default(), dc(0), 100 * 1024);
         partial_owned.add_dc_locations(dc(0), six_locs(10));
         let mut dst = Arc::new(partial_owned);
-        // A second handle forces `Arc::make_mut` to actually copy.
         let observer = Arc::clone(&dst);
-        let before = Arc::as_ptr(&dst);
 
         assert!(dst.would_learn_from(&full));
         assert!(Metadata::merge_shared(&mut dst, &full), "learns DC1");
+        assert!(
+            Arc::ptr_eq(&dst, &full),
+            "full covers dst: adopted by handle"
+        );
+        assert!(!observer.is_complete(), "the aliased handle is untouched");
+
+        // An equal snapshot in another allocation is adopted too, without
+        // reporting anything learned.
+        let mut twin = Arc::new(meta_with_both_dcs());
+        assert!(!Metadata::merge_shared(&mut twin, &full));
+        assert!(Arc::ptr_eq(&twin, &full));
+
+        // A source that lacks one of dst's DCs cannot be adopted: dst
+        // copies-on-write to learn the other DC.
+        let mut dc1_only = Metadata::new(Policy::paper_default(), dc(0), 100 * 1024);
+        dc1_only.add_dc_locations(dc(1), six_locs(20));
+        let dc1_only = Arc::new(dc1_only);
+        let mut dst = Arc::clone(&observer);
+        let before = Arc::as_ptr(&dst);
+        assert!(Metadata::merge_shared(&mut dst, &dc1_only), "learns DC1");
         assert_ne!(Arc::as_ptr(&dst), before, "copy-on-write happened");
+        assert!(!Arc::ptr_eq(&dst, &dc1_only));
         assert_eq!(*dst, *full);
         assert!(!observer.is_complete(), "the aliased handle is untouched");
 
+        // A source that teaches nothing and cannot be adopted (it lacks
+        // DC0) leaves the handle alone.
         let settled = Arc::as_ptr(&dst);
         assert!(
-            !Metadata::merge_shared(&mut dst, &full),
+            !Metadata::merge_shared(&mut dst, &dc1_only),
             "no-op learns nothing"
         );
         assert_eq!(Arc::as_ptr(&dst), settled, "no-op never copies");

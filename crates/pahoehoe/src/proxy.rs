@@ -495,8 +495,10 @@ impl Proxy {
         };
         // `useful_locs`: only the first decision per data center counts.
         // In optimized mode the copy-on-write clone fires at most once per
-        // decision wave; every send below is then reference-counted.
-        if !Arc::make_mut(&mut op.meta).add_dc_locations(dc, locations) {
+        // decision wave (never for a duplicate decision, which would
+        // otherwise fork the already-shared snapshot); every send below is
+        // then reference-counted.
+        if op.meta.has_dc(dc) || !Arc::make_mut(&mut op.meta).add_dc_locations(dc, locations) {
             return;
         }
         let meta = Arc::clone(&op.meta);

@@ -111,7 +111,11 @@ fn state_digest(cluster: &Cluster) -> String {
                 fs.verified(ov),
                 entry.meta,
                 entry.fragments.keys().collect::<Vec<_>>(),
-                entry.checksums,
+                entry
+                    .fragments
+                    .with_checksums()
+                    .map(|(f, sum)| (f.index(), *sum))
+                    .collect::<Vec<_>>(),
             )
             .unwrap();
         }

@@ -161,3 +161,50 @@ fn identical_seeds_reproduce_identical_runs() {
     assert_eq!(run(11), run(11));
     assert_ne!(run(11).1, 0);
 }
+
+/// Every holder of a settled version shares one metadata allocation: on a
+/// clean paper-default run, each version's 6 sibling FSs and 4 KLSs all
+/// point at the same `Metadata`, because a merge whose source already
+/// holds everything the destination holds adopts the source's handle.
+#[test]
+fn settled_versions_share_one_metadata_allocation() {
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::sync::Arc;
+
+    use pahoehoe::types::ObjectVersion;
+
+    let cfg = small_workload(ClusterConfig::paper_default(), 20);
+    let mut cluster = Cluster::build(cfg, 4);
+    let report = cluster.run_to_convergence();
+    assert_eq!(report.outcome, RunOutcome::PredicateSatisfied);
+    assert_eq!(report.amr_versions, 20);
+
+    let topo = Arc::clone(cluster.topology());
+    let mut holders: BTreeMap<ObjectVersion, (usize, BTreeSet<usize>)> = BTreeMap::new();
+    for fs in topo.all_fss() {
+        let actor = cluster.fs(fs);
+        for ov in actor.amr_versions() {
+            let entry = actor.entry(ov).expect("settled versions keep their entry");
+            let (count, allocs) = holders.entry(ov).or_default();
+            *count += 1;
+            allocs.insert(Arc::as_ptr(&entry.meta) as usize);
+        }
+    }
+    assert_eq!(holders.len(), 20, "every version settled on its siblings");
+    for kls in topo.all_klss() {
+        let actor = cluster.kls(kls);
+        for (ov, (count, allocs)) in &mut holders {
+            let meta = actor.meta(*ov).expect("every KLS stores every version");
+            *count += 1;
+            allocs.insert(std::ptr::from_ref(meta) as usize);
+        }
+    }
+    for (ov, (count, allocs)) in &holders {
+        assert_eq!(*count, 10, "{ov:?}: 6 sibling FSs + 4 KLSs hold it");
+        assert_eq!(
+            allocs.len(),
+            1,
+            "{ov:?}: its {count} holders share one metadata allocation"
+        );
+    }
+}

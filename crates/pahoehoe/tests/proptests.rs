@@ -6,6 +6,7 @@ use pahoehoe::topology::DataCenterId;
 use pahoehoe::types::{Key, ObjectVersion, Timestamp};
 use proptest::prelude::*;
 use simnet::{NodeId, SimTime};
+use std::sync::Arc;
 
 /// Strategy: a valid per-DC location list for the default policy (6
 /// locations over 3 FSs x 2 disks, FS ids derived from a base).
@@ -30,7 +31,62 @@ fn partial_meta(mask: u8) -> Metadata {
     m
 }
 
+/// Metadata drawn from a small space with every conflict `merge` must
+/// arbitrate: `dcs` picks, per DC, undecided or one of two *different*
+/// placements; `value_len` may be 0; `delta` picks no delta base or one of
+/// two; `shape` varies the policy and home DC.
+fn varied_meta(shape: u8, dcs: u8, zero_len: bool, delta: u8) -> Metadata {
+    let policy = if shape & 1 == 0 {
+        Policy::paper_default()
+    } else {
+        Policy::new(4, 12, 2, 3)
+    };
+    let home = DataCenterId::new(shape >> 1 & 1);
+    let mut m = Metadata::new(policy, home, if zero_len { 0 } else { 1234 });
+    for dc in 0..2u8 {
+        match dcs / 3u8.pow(u32::from(dc)) % 3 {
+            0 => {}
+            choice => {
+                let base = 10 + 20 * u32::from(dc) + 100 * u32::from(choice);
+                m.add_dc_locations(DataCenterId::new(dc), dc_locations(base));
+            }
+        }
+    }
+    if delta > 0 {
+        m.set_delta_base(Timestamp::new(SimTime::from_micros(u64::from(delta)), 0));
+    }
+    m
+}
+
 proptest! {
+    /// The shared-handle merge computes exactly the owned merge — same
+    /// value, same "learned" flag — and adopts the source's handle
+    /// exactly when the merge result *is* the source. A handle aliasing
+    /// the old destination is never mutated.
+    #[test]
+    fn merge_shared_matches_owned_merge(
+        dst_shape in 0u8..4, dst_dcs in 0u8..9, dst_zero in any::<bool>(), dst_delta in 0u8..3,
+        src_shape in 0u8..4, src_dcs in 0u8..9, src_zero in any::<bool>(), src_delta in 0u8..3,
+    ) {
+        let dst_meta = varied_meta(dst_shape, dst_dcs, dst_zero, dst_delta);
+        let src = Arc::new(varied_meta(src_shape, src_dcs, src_zero, src_delta));
+        let mut owned = dst_meta.clone();
+        let owned_learned = owned.merge(&src);
+
+        let mut dst = Arc::new(dst_meta.clone());
+        let alias = Arc::clone(&dst);
+        let learned = Metadata::merge_shared(&mut dst, &src);
+        prop_assert_eq!(learned, owned_learned);
+        prop_assert_eq!(&*dst, &owned);
+        prop_assert_eq!(Arc::ptr_eq(&dst, &src), owned == *src);
+        prop_assert_eq!(&*alias, &dst_meta, "the aliased handle is untouched");
+
+        // Unaliased destinations take the same path.
+        let mut sole = Arc::new(dst_meta);
+        prop_assert_eq!(Metadata::merge_shared(&mut sole, &src), owned_learned);
+        prop_assert_eq!(&*sole, &owned);
+    }
+
     /// Metadata merging is a join: commutative, associative, idempotent.
     /// (First-writer-wins per DC is conflict-free here because every
     /// server derives identical per-DC decisions.)

@@ -25,8 +25,10 @@ cargo run -p check --release --bin analyze
 
 echo "==> mutation smoke (pinned 14 mutants, kill-rate gate >= 12/14)"
 # Surviving mutants print their diff; the binary exits 1 below the gate.
-cargo run -p check --release --bin mutate -- --smoke --bench-out BENCH_analysis.json
-python3 -m json.tool BENCH_analysis.json > /dev/null
+# The record goes to target/: the checked-in BENCH_analysis.json is only
+# re-recorded deliberately (same command with --bench-out BENCH_analysis.json).
+cargo run -p check --release --bin mutate -- --smoke --bench-out target/BENCH_analysis.json
+python3 -m json.tool target/BENCH_analysis.json > /dev/null
 
 echo "==> invariant explorer (smoke sweep, sequential, + scale spot check)"
 cargo run -p check --release --bin explore -- --smoke --scale --digest-out target/digest-seq.txt
@@ -68,32 +70,39 @@ cargo run -p check --release --bin explore -- --smoke --repair --workers 2 --dig
 cmp target/digest-repair-seq.txt target/digest-repair-par.txt
 echo "    repair-mode parallel sweep digest is byte-identical to sequential"
 
+# Smoke runs of the bench binaries write their records under
+# target/bench-smoke/, never over the checked-in BENCH_*.json files.
+SMOKE=target/bench-smoke
+
 echo "==> bench baseline (smoke)"
 cargo run -p bench --release --bin baseline -- --smoke
-python3 -m json.tool BENCH_codec.json > /dev/null
-python3 -m json.tool BENCH_engine.json > /dev/null
-python3 -m json.tool BENCH_convergence.json > /dev/null
-python3 -m json.tool BENCH_protocol.json > /dev/null
+python3 -m json.tool $SMOKE/BENCH_codec.json > /dev/null
+python3 -m json.tool $SMOKE/BENCH_engine.json > /dev/null
+python3 -m json.tool $SMOKE/BENCH_convergence.json > /dev/null
+python3 -m json.tool $SMOKE/BENCH_protocol.json > /dev/null
 
 echo "==> bench scale (smoke, incl. a parallel-engine cell at 2 workers)"
 cargo run -p bench --release --bin scale -- --smoke
-python3 -m json.tool BENCH_scale.json > /dev/null
+python3 -m json.tool $SMOKE/BENCH_scale.json > /dev/null
 
 echo "==> bench delta (smoke, gates the >= 3x hot-pair payload reduction)"
 cargo run -p bench --release --bin delta -- --smoke
-python3 -m json.tool BENCH_delta.json > /dev/null
-grep -q '"schema_version": 1' BENCH_delta.json || { echo "    BENCH_delta.json schema drift"; exit 1; }
+python3 -m json.tool $SMOKE/BENCH_delta.json > /dev/null
+grep -q '"schema_version": 1' $SMOKE/BENCH_delta.json || { echo "    BENCH_delta.json schema drift"; exit 1; }
 
 echo "==> bench repair (smoke, gates re-protection in every cell)"
 cargo run -p bench --release --bin repair -- --smoke
-python3 -m json.tool BENCH_repair.json > /dev/null
-grep -q '"schema_version": 1' BENCH_repair.json || { echo "    BENCH_repair.json schema drift"; exit 1; }
-grep -q '"host"' BENCH_repair.json || { echo "    BENCH_repair.json missing host context"; exit 1; }
+python3 -m json.tool $SMOKE/BENCH_repair.json > /dev/null
+grep -q '"schema_version": 1' $SMOKE/BENCH_repair.json || { echo "    BENCH_repair.json schema drift"; exit 1; }
+grep -q '"host"' $SMOKE/BENCH_repair.json || { echo "    BENCH_repair.json missing host context"; exit 1; }
 
 echo "==> bench schema versions"
-for f in BENCH_*.json; do
+for f in BENCH_*.json $SMOKE/BENCH_*.json target/BENCH_analysis.json; do
     grep -q '"schema_version"' "$f" || { echo "    $f missing schema_version"; exit 1; }
 done
 echo "    every BENCH_*.json carries a schema_version"
+
+echo "==> checked-in bench records untouched"
+git diff --exit-code -- 'BENCH_*.json'
 
 echo "CI green."
