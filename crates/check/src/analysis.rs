@@ -26,9 +26,11 @@
 //!   with a **non-empty** justification, or be refactored into a checked
 //!   accessor. A bare marker without a justification is itself a finding.
 //! * **unsafe-confinement** — `unsafe` appears only inside `mod simd` of
-//!   `gf.rs` (the `erasure::gf::simd` PSHUFB kernels). Everywhere else the
-//!   crates `forbid(unsafe_code)`, but that attribute is one edit away
-//!   from being weakened; this rule notices the edit.
+//!   `gf.rs` (`erasure::gf::simd`: the PSHUFB `mul_acc` kernels and the
+//!   fused GFNI `mat_mul` kernel, including its writes into a `Vec`'s
+//!   spare capacity). Everywhere else the crates `forbid(unsafe_code)`,
+//!   but that attribute is one edit away from being weakened; this rule
+//!   notices the edit.
 //! * **registry-sync** — the dense kind registry stays coherent:
 //!   `KINDS` labels are unique, `kind_id` maps every enum variant exactly
 //!   once onto ids that exactly cover `0..KINDS.len()`, and per-kind
@@ -69,7 +71,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "unsafe-confinement",
-        "unsafe code appears only inside mod simd of gf.rs (erasure::gf::simd)",
+        "unsafe code appears only inside mod simd of gf.rs (erasure::gf::simd: the PSHUFB \
+         mul_acc kernels and the fused GFNI mat_mul kernel with its spare-capacity writes)",
     ),
     (
         "registry-sync",

@@ -27,17 +27,18 @@ pub enum CodecImpl {
     /// The seed implementation: per-shard allocations, byte-at-a-time
     /// log/exp arithmetic, a fresh Gaussian elimination per decode.
     Reference,
-    /// Flat 256-entry multiplication tables with word-wide accumulation
-    /// and the decode-matrix inversion cache, one parity row at a time.
+    /// The table-era generation without the packed encode kernel: every
+    /// product goes through [`gf::mat_mul`] (the fused GFNI kernel where
+    /// the CPU has it, flat-table or shuffle `mul_acc` rows otherwise)
+    /// with the decode-matrix inversion cache.
     FlatTable,
     /// Everything in `FlatTable`, plus the packed-parity encode kernel:
     /// one table lookup per data byte yields all `n - k` parity products
     /// at once (byte lanes of a `u64`), de-interleaved by an in-register
     /// 8×8 byte transpose. Applies when `1 <= n - k <= 8`; other shapes
     /// fall back to `FlatTable` behavior, as does any CPU where
-    /// [`gf::simd_active`] reports the split-nibble shuffle kernel — there,
-    /// row-at-a-time `mul_acc` over long contiguous rows beats the
-    /// position-major gather. This is the default.
+    /// [`gf::simd_active`] reports a SIMD kernel — there, [`gf::mat_mul`]
+    /// beats the position-major gather. This is the default.
     Packed,
 }
 
@@ -57,40 +58,50 @@ const IMPL_PACKED: u8 = 2;
 /// the cache without limit.
 const INVERSION_CACHE_CAP: usize = 64;
 
-/// Bounded cache of decode-matrix inversions, keyed by the sorted set of
+/// The set of fragment indices used as decode rows, one bit per index
+/// (`n <= 256`): a fixed-size key, so a cache lookup allocates nothing.
+type IndexSet = [u64; 4];
+
+/// Bounded cache of decode-matrix inversions, keyed by the set of
 /// surviving fragment indices used as decode rows.
+///
+/// Each entry holds the coefficient rows `G · G[picked]⁻¹` (`n × k`,
+/// row-major): row `m` expresses fragment `m` as a combination of the
+/// picked fragments, so rows `0..k` are the decode rows (the inverse
+/// itself, since `G`'s top block is the identity) and any other row is a
+/// one-pass recovery row.
 ///
 /// Eviction is deterministic FIFO: each entry records the monotone tick at
 /// which it was inserted and the oldest entry is dropped when the cache is
-/// full. Cached inverses are exactly the matrices Gaussian elimination
+/// full. Cached rows are exactly what Gaussian elimination and the product
 /// would produce, so hits are byte-identical to cold decodes and replay
 /// digests are unaffected.
 #[derive(Debug, Clone, Default)]
 struct InversionCache {
-    entries: BTreeMap<Vec<u8>, (u64, Matrix)>,
+    entries: BTreeMap<IndexSet, (u64, Matrix)>,
     tick: u64,
 }
 
 impl InversionCache {
-    fn get(&self, key: &[u8]) -> Option<&Matrix> {
+    fn get(&self, key: &IndexSet) -> Option<&Matrix> {
         self.entries.get(key).map(|(_, m)| m)
     }
 
-    fn insert(&mut self, key: Vec<u8>, inv: Matrix) {
+    fn insert(&mut self, key: IndexSet, rows: Matrix) {
         if self.entries.len() >= INVERSION_CACHE_CAP {
             // Evict the oldest insertion (deterministic: ticks are unique).
             if let Some(oldest) = self
                 .entries
                 .iter()
                 .min_by_key(|(_, (tick, _))| *tick)
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| *k)
             {
                 self.entries.remove(&oldest);
             }
         }
         let tick = self.tick;
         self.tick += 1;
-        self.entries.insert(key, (tick, inv));
+        self.entries.insert(key, (tick, rows));
     }
 }
 
@@ -131,6 +142,9 @@ pub struct Codec {
     // Scratch for the delta encode path (the k·w dirty-column buffer),
     // reused across calls like `inter`.
     dirty: RefCell<Vec<u8>>,
+    // Scratch for the recovery rows of one `recover_into` call, gathered
+    // from the generator or an inversion-cache entry.
+    coef: RefCell<Vec<u8>>,
 }
 
 impl Codec {
@@ -175,6 +189,7 @@ impl Codec {
             inversions: RefCell::new(InversionCache::default()),
             inter: RefCell::new(Vec::new()),
             dirty: RefCell::new(Vec::new()),
+            coef: RefCell::new(Vec::new()),
         })
     }
 
@@ -216,8 +231,9 @@ impl Codec {
     ///
     /// The whole stripe — data and parity — lives in a single allocation:
     /// the value is striped into an `n * fragment_len` buffer, parity is
-    /// computed in place, and the buffer is frozen into one refcounted
-    /// [`Bytes`] that every fragment holds a zero-copy window of.
+    /// appended behind it by [`gf::mat_mul`] (reading `value`), and
+    /// the buffer is frozen into one refcounted [`Bytes`] that every
+    /// fragment holds a zero-copy window of.
     // lint:hot
     pub fn encode_into(&self, value: &[u8], out: &mut Vec<Fragment>) {
         out.clear();
@@ -227,30 +243,23 @@ impl Codec {
             return;
         }
         let flen = self.fragment_len(value.len());
-        // Copy the value in, then zero-extend: only the padding and the
-        // parity region get zeroed, not the bytes we just wrote.
+        // Copy the value in, then zero-extend the padding only.
         let mut stripe = Vec::with_capacity(self.n * flen);
         stripe.extend_from_slice(value);
-        stripe.resize(self.n * flen, 0);
-        let (data, parity) = stripe.split_at_mut(self.k * flen);
+        stripe.resize(self.k * flen, 0);
         // The packed position-major gather wins for the scalar table
-        // kernel; when the SIMD shuffle kernel is active, row-at-a-time
-        // `mul_acc` over long contiguous rows is faster still.
+        // kernel; when a SIMD kernel is active, `mat_mul` is faster still.
         if mode == CodecImpl::Packed && !self.packed.is_empty() && flen > 0 && !gf::simd_active() {
-            // lint:allow(hot-path-alloc): k borrowed rows; the encode allocates its stripe anyway
-            let rows: Vec<&[u8]> = data.chunks_exact(flen).collect();
-            self.encode_parity_packed(&rows, parity, flen);
+            stripe.resize(self.n * flen, 0);
+            let (data, parity) = stripe.split_at_mut(self.k * flen);
+            self.encode_parity_packed(|i| &data[i * flen..(i + 1) * flen], parity, flen);
         } else {
-            for row in self.k..self.n {
-                let seg = &mut parity[(row - self.k) * flen..(row - self.k + 1) * flen];
-                for i in 0..self.k {
-                    gf::mul_acc(
-                        seg,
-                        &data[i * flen..(i + 1) * flen],
-                        self.generator.get(row, i),
-                    );
-                }
-            }
+            // Sources are the value's own rows; the kernel reads the
+            // padded tail as zeros.
+            gf::mat_mul(&mut stripe, self.parity_rows(), self.k, flen, |i| {
+                let start = (i * flen).min(value.len());
+                &value[start..(start + flen).min(value.len())]
+            });
         }
         let backing = Bytes::from(stripe);
         out.reserve(self.n);
@@ -274,56 +283,47 @@ impl Codec {
     pub fn encode_value(&self, value: &Bytes, out: &mut Vec<Fragment>) {
         out.clear();
         let flen = self.fragment_len(value.len());
+        out.reserve(self.n);
         // Data rows: windows of the value where a full row fits, one
         // padded copy per tail row (at most one for non-degenerate
         // shapes; short values may owe several all-zero rows).
-        let mut rows: Vec<Bytes> = Vec::with_capacity(self.k);
         for i in 0..self.k {
             let start = i * flen;
             let end = start + flen;
-            if end <= value.len() {
-                rows.push(value.slice(start..end));
+            let row = if end <= value.len() {
+                value.slice(start..end)
             } else {
                 let mut pad = Vec::with_capacity(flen);
                 pad.extend_from_slice(&value[start.min(value.len())..]);
                 pad.resize(flen, 0);
-                rows.push(Bytes::from(pad));
-            }
+                Bytes::from(pad)
+            };
+            out.push(Fragment::new(i as FragmentIndex, row));
         }
         let pk = self.n - self.k;
-        out.reserve(self.n);
-        if pk > 0 && flen > 0 {
-            let mut parity = vec![0u8; pk * flen];
-            // lint:allow(hot-path-alloc): k borrowed rows; the encode allocates its parity anyway
-            let row_slices: Vec<&[u8]> = rows.iter().map(|r| r.as_ref()).collect();
-            if self.packed.is_empty() || gf::simd_active() {
-                for p in 0..pk {
-                    let seg = &mut parity[p * flen..(p + 1) * flen];
-                    for (i, row) in row_slices.iter().enumerate() {
-                        gf::mul_acc(seg, row, self.generator.get(self.k + p, i));
-                    }
-                }
-            } else {
-                self.encode_parity_packed(&row_slices, &mut parity, flen);
-            }
-            let backing = Bytes::from(parity);
-            for (i, row) in rows.into_iter().enumerate() {
-                out.push(Fragment::new(i as FragmentIndex, row));
-            }
-            for p in 0..pk {
-                out.push(Fragment::new(
-                    (self.k + p) as FragmentIndex,
-                    backing.slice(p * flen..(p + 1) * flen),
-                ));
-            }
+        let mut parity = Vec::with_capacity(pk * flen);
+        let data = &out[..self.k];
+        if !self.packed.is_empty() && flen > 0 && !gf::simd_active() {
+            parity.resize(pk * flen, 0);
+            self.encode_parity_packed(|i| data[i].data(), &mut parity, flen);
         } else {
-            for (i, row) in rows.into_iter().enumerate() {
-                out.push(Fragment::new(i as FragmentIndex, row));
-            }
-            for p in 0..pk {
-                out.push(Fragment::new((self.k + p) as FragmentIndex, Bytes::new()));
-            }
+            gf::mat_mul(&mut parity, self.parity_rows(), self.k, flen, |i| {
+                data[i].data()
+            });
         }
+        let backing = Bytes::from(parity);
+        for p in 0..pk {
+            out.push(Fragment::new(
+                (self.k + p) as FragmentIndex,
+                backing.slice(p * flen..(p + 1) * flen),
+            ));
+        }
+    }
+
+    /// The generator's parity rows (`(n - k) × k`, row-major): the
+    /// coefficients of every encode.
+    fn parity_rows(&self) -> &[u8] {
+        &self.generator.as_slice()[self.k * self.k..]
     }
 
     /// The dirty column window of an overwrite: the smallest `(start, w)`
@@ -428,7 +428,12 @@ impl Codec {
     /// Byte-identical to the row-at-a-time [`gf::mul_acc`] loop: the lanes
     /// are the same GF(2⁸) products, and XOR never crosses lanes.
     // lint:hot
-    fn encode_parity_packed(&self, rows: &[&[u8]], parity: &mut [u8], flen: usize) {
+    fn encode_parity_packed<'s>(
+        &self,
+        row: impl Fn(usize) -> &'s [u8],
+        parity: &mut [u8],
+        flen: usize,
+    ) {
         let pk = self.n - self.k;
         let mut inter = self.inter.borrow_mut();
         if inter.len() != flen {
@@ -446,7 +451,7 @@ impl Codec {
                 &self.packed[2],
                 &self.packed[3],
             );
-            let (d0, d1, d2, d3) = (rows[0], rows[1], rows[2], rows[3]);
+            let (d0, d1, d2, d3) = (row(0), row(1), row(2), row(3));
             for (j, w) in inter.iter_mut().enumerate() {
                 *w = t0[d0[j] as usize]
                     ^ t1[d1[j] as usize]
@@ -458,8 +463,7 @@ impl Codec {
             // zeroed.
             inter.fill(0);
             for (i, t) in self.packed.iter().enumerate() {
-                let d = rows[i];
-                for (w, &b) in inter.iter_mut().zip(d) {
+                for (w, &b) in inter.iter_mut().zip(row(i)) {
                     *w ^= t[b as usize];
                 }
             }
@@ -502,14 +506,16 @@ impl Codec {
     }
 
     /// Like [`decode`](Self::decode), but writes the value into `out`
-    /// (cleared first), reusing its capacity across calls. The decode rows
-    /// are applied directly to `out`'s segments — no intermediate shard
-    /// `Vec`s.
+    /// (cleared first), reusing its capacity across calls. Each value
+    /// byte is written once: copied from the data fragments when all `k`
+    /// are present, otherwise produced by one [`gf::mat_mul`] pass over
+    /// the picked fragments — no intermediate shard `Vec`s.
     ///
     /// # Errors
     ///
     /// Same conditions as [`decode`](Self::decode); on error `out`'s
     /// contents are unspecified (but it remains valid to reuse).
+    // lint:hot
     pub fn decode_into(
         &self,
         fragments: &[Fragment],
@@ -526,10 +532,39 @@ impl Codec {
             out.truncate(value_len);
             return Ok(());
         }
-        out.resize(self.k * flen, 0);
-        self.reconstruct_into(&picked, flen, out);
+        if is_data_pick(&picked) {
+            out.reserve(value_len);
+            for f in &picked {
+                let take = (value_len - out.len()).min(flen);
+                out.extend_from_slice(&f.data()[..take]);
+            }
+            return Ok(());
+        }
+        out.reserve(self.k * flen);
+        self.with_recovery_rows(&picked, |rows| {
+            gf::mat_mul(out, &rows[..self.k * self.k], self.k, flen, |i| {
+                picked[i].data()
+            });
+        });
         out.truncate(value_len);
         Ok(())
+    }
+
+    /// Like [`decode`](Self::decode), but returns the value as a
+    /// refcounted [`Bytes`] that owns the decode's single output
+    /// allocation — the get path hands it on without a staging copy.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`decode`](Self::decode).
+    pub fn decode_value(
+        &self,
+        fragments: &[Fragment],
+        value_len: usize,
+    ) -> Result<Bytes, CodecError> {
+        let mut value = Vec::new();
+        self.decode_into(fragments, value_len, &mut value)?;
+        Ok(Bytes::from(value))
     }
 
     /// Regenerates the fragments with indices `missing` from any `k`
@@ -556,7 +591,10 @@ impl Codec {
 
     /// Like [`recover`](Self::recover), but reuses `out` for the fragment
     /// list (cleared first). All regenerated fragments share one backing
-    /// allocation, like [`encode_into`](Self::encode_into).
+    /// allocation, like [`encode_into`](Self::encode_into), written in one
+    /// [`gf::mat_mul`] pass from the picked fragments through the composed
+    /// rows `G[missing] · G[picked]⁻¹` — the data rows are never
+    /// materialized.
     ///
     /// # Errors
     ///
@@ -594,21 +632,16 @@ impl Codec {
             return Ok(());
         }
 
-        let mut data = vec![0u8; self.k * flen];
-        self.reconstruct_into(&picked, flen, &mut data);
-
-        let mut buf = vec![0u8; missing.len() * flen];
-        for (j, &m) in missing.iter().enumerate() {
-            let row = m as usize;
-            let seg = &mut buf[j * flen..(j + 1) * flen];
-            for i in 0..self.k {
-                gf::mul_acc(
-                    seg,
-                    &data[i * flen..(i + 1) * flen],
-                    self.generator.get(row, i),
-                );
+        let mut buf = Vec::with_capacity(missing.len() * flen);
+        self.with_recovery_rows(&picked, |rows| {
+            let mut coef = self.coef.borrow_mut();
+            coef.clear();
+            for &m in missing {
+                let m = m as usize;
+                coef.extend_from_slice(&rows[m * self.k..(m + 1) * self.k]);
             }
-        }
+            gf::mat_mul(&mut buf, &coef, self.k, flen, |i| picked[i].data());
+        });
         let backing = Bytes::from(buf);
         out.reserve(missing.len());
         for (j, &m) in missing.iter().enumerate() {
@@ -660,55 +693,37 @@ impl Codec {
         Ok(chosen.into_iter().flatten().take(self.k).collect())
     }
 
-    /// Reconstructs the `k` padded data shards from `picked` (ascending
-    /// index order, as produced by
-    /// [`pick_fragments`](Self::pick_fragments)) into `out`, which must be
-    /// `k * flen` zeroed bytes; shard `i` lands at `out[i*flen..(i+1)*flen]`.
-    // lint:hot
-    fn reconstruct_into(&self, picked: &[&Fragment], flen: usize, out: &mut [u8]) {
-        debug_assert_eq!(out.len(), self.k * flen);
-
-        // Fast path: all k data fragments present — no algebra needed.
-        if picked
-            .iter()
-            .enumerate()
-            .all(|(i, f)| f.index() as usize == i)
-        {
-            for (i, f) in picked.iter().enumerate() {
-                out[i * flen..(i + 1) * flen].copy_from_slice(f.data());
-            }
-            return;
-        }
-
-        let inv = self.decode_matrix(picked);
-        for r in 0..self.k {
-            let seg = &mut out[r * flen..(r + 1) * flen];
-            for (c, frag) in picked.iter().enumerate() {
-                gf::mul_acc(seg, frag.data(), inv.get(r, c));
-            }
-        }
-    }
-
-    /// Returns the inverse of the generator rows selected by `picked`,
-    /// consulting the [`InversionCache`] first.
+    /// Runs `f` on the recovery rows for `picked` (ascending index order,
+    /// as produced by [`pick_fragments`](Self::pick_fragments)): the
+    /// `n × k` row-major matrix `G · G[picked]⁻¹`, whose row `m` gives
+    /// fragment `m` from the picked fragments.
     ///
-    /// `picked` is in ascending index order, so the cache key is the
-    /// sorted surviving-index set directly. A hit clones the cached
-    /// `k × k` matrix (at most 256 bytes for the paper's shapes) instead
-    /// of re-running Gaussian elimination.
-    fn decode_matrix(&self, picked: &[&Fragment]) -> Matrix {
-        let key: Vec<u8> = picked.iter().map(|f| f.index()).collect();
-        if let Some(inv) = self.inversions.borrow().get(&key) {
-            return inv.clone();
+    /// All `k` data fragments picked means the inverse is the identity
+    /// and the rows are the generator itself; otherwise they come from
+    /// the [`InversionCache`], computed and inserted on a miss. A hit
+    /// borrows the cached rows in place — no key or matrix allocation.
+    fn with_recovery_rows<T>(&self, picked: &[&Fragment], f: impl FnOnce(&[u8]) -> T) -> T {
+        if is_data_pick(picked) {
+            return f(self.generator.as_slice());
         }
-        let rows: Vec<usize> = key.iter().map(|&i| i as usize).collect();
+        let mut key: IndexSet = [0; 4];
+        for p in picked {
+            let i = p.index() as usize;
+            key[i / 64] |= 1 << (i % 64);
+        }
+        if let Some(rows) = self.inversions.borrow().get(&key) {
+            return f(rows.as_slice());
+        }
+        let indices: Vec<usize> = picked.iter().map(|p| p.index() as usize).collect();
         let inv = self
             .generator
-            .select_rows(&rows)
+            .select_rows(&indices)
             .inverse()
             .expect("any k rows of the systematic generator are independent");
-        self.inversions.borrow_mut().insert(key, inv.clone());
-        inv
+        let rows = self.generator.mul(&inv);
+        let out = f(rows.as_slice());
+        self.inversions.borrow_mut().insert(key, rows);
+        out
     }
 
     /// Number of decode-matrix inversions currently cached (for tests and
@@ -791,11 +806,7 @@ impl Codec {
     /// The seed implementation of data-shard reconstruction: fresh shard
     /// `Vec`s, a Gaussian elimination per call, log/exp arithmetic.
     fn data_shards_reference(&self, picked: &[&Fragment], flen: usize) -> Vec<Vec<u8>> {
-        if picked
-            .iter()
-            .enumerate()
-            .all(|(i, f)| f.index() as usize == i)
-        {
+        if is_data_pick(picked) {
             return picked.iter().map(|f| f.data().to_vec()).collect();
         }
         let rows: Vec<usize> = picked.iter().map(|f| f.index() as usize).collect();
@@ -814,6 +825,16 @@ impl Codec {
         }
         shards
     }
+}
+
+/// Whether `picked` (ascending, `k` distinct) is exactly the data
+/// fragments `0..k`, so decoding is a copy and recovery uses the
+/// generator rows as they are.
+fn is_data_pick(picked: &[&Fragment]) -> bool {
+    picked
+        .iter()
+        .enumerate()
+        .all(|(i, f)| f.index() as usize == i)
 }
 
 /// Transposes an 8×8 byte matrix held in eight `u64`s (word `i` = row `i`,

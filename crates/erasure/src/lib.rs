@@ -1,7 +1,8 @@
 #![warn(missing_docs)]
 // Unsafe code is denied everywhere except the one documented exception:
-// `gf::simd`, the split-nibble PSHUFB kernel, which needs `std::arch`
-// intrinsics and carries per-call safety arguments.
+// `gf::simd`, the split-nibble PSHUFB and fused GFNI kernels, which need
+// `std::arch` intrinsics (and, for the fused kernel, writes into a `Vec`'s
+// spare capacity) and carry per-call safety arguments.
 #![deny(unsafe_code)]
 
 //! Systematic Reed-Solomon erasure coding over GF(2⁸), built from scratch.

@@ -111,6 +111,11 @@ impl Matrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
+    /// All entries, row-major: row `r` is `as_slice()[r * cols..(r + 1) * cols]`.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.data
+    }
+
     /// Matrix product `self * rhs`.
     ///
     /// # Panics

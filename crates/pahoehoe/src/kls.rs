@@ -183,19 +183,20 @@ impl Kls {
     }
 
     /// Merges `meta` into the metadata store (whose key order makes it
-    /// the timestamp store too). Returns whether anything new was learned.
+    /// the timestamp store too), in one map lookup. Returns whether
+    /// anything new was learned, and the stored metadata after the merge.
     /// Adopting a first sighting is a refcount bump (or, in reference
     /// mode, the seed's deep copy); merging copies-on-write only when the
     /// probe actually teaches this KLS something.
     // lint:hot
-    fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> bool {
-        match self.storemeta.get_mut(&ov) {
-            Some(existing) => Metadata::merge_shared(existing, meta),
-            None => {
-                let adopted = self.mode.share(meta);
-                self.storemeta.insert(ov, adopted);
-                true
+    fn absorb(&mut self, ov: ObjectVersion, meta: &Arc<Metadata>) -> (bool, &Metadata) {
+        match self.storemeta.entry(ov) {
+            btree_map::Entry::Occupied(existing) => {
+                let existing = existing.into_mut();
+                let learned = Metadata::merge_shared(existing, meta);
+                (learned, existing)
             }
+            btree_map::Entry::Vacant(slot) => (true, slot.insert(self.mode.share(meta))),
         }
     }
 
@@ -281,7 +282,7 @@ impl Actor<Message> for Kls {
                 };
                 let mut fresh = self.mode.share(&meta);
                 Arc::make_mut(&mut fresh).add_dc_locations(self.my_dc, locations.clone());
-                let newly_decided = !already_known && self.absorb(ov, &fresh);
+                let newly_decided = !already_known && self.absorb(ov, &fresh).0;
                 ctx.send(
                     from,
                     Message::DecideLocsReply {
@@ -311,14 +312,12 @@ impl Actor<Message> for Kls {
             }
 
             Message::StoreMetadata { ov, meta } => {
-                self.absorb(ov, &meta);
-                let complete = self.has_complete_meta(ov);
+                let complete = self.absorb(ov, &meta).1.is_complete();
                 ctx.send(from, Message::StoreMetadataReply { ov, complete });
             }
 
             Message::ConvergeKls { ov, meta } => {
-                self.absorb(ov, &meta);
-                let verified = self.has_complete_meta(ov);
+                let verified = self.absorb(ov, &meta).1.is_complete();
                 ctx.send(from, Message::ConvergeKlsReply { ov, verified });
             }
 
@@ -327,8 +326,7 @@ impl Actor<Message> for Kls {
             // the round and are never batched).
             Message::ConvergeKlsBatch { entries } => {
                 for (ov, meta) in entries {
-                    self.absorb(ov, &meta);
-                    let verified = self.has_complete_meta(ov);
+                    let verified = self.absorb(ov, &meta).1.is_complete();
                     ctx.send(from, Message::ConvergeKlsReply { ov, verified });
                 }
             }
@@ -622,7 +620,7 @@ mod tests {
             Kls::which_locs(&t, DataCenterId::new(0), v, &p),
         );
         let partial = Arc::new(partial);
-        assert!(kls.absorb(v, &partial));
+        assert!(kls.absorb(v, &partial).0);
         assert!(!kls.has_complete_meta(v));
         assert_eq!(kls.versions_of(v.key), vec![v.ts]);
 
@@ -632,9 +630,9 @@ mod tests {
             Kls::which_locs(&t, DataCenterId::new(1), v, &p),
         );
         let rest = Arc::new(rest);
-        assert!(kls.absorb(v, &rest));
+        assert!(kls.absorb(v, &rest).0);
         assert!(kls.has_complete_meta(v));
-        assert!(!kls.absorb(v, &rest), "idempotent");
+        assert!(!kls.absorb(v, &rest).0, "idempotent");
         assert_eq!(kls.known_versions().count(), 1);
     }
 }

@@ -224,9 +224,8 @@ pub struct Proxy {
     /// the optimization is on).
     puts_fully_acked: u64,
     /// Reusable scratch for the get decode path, so steady-state gets do
-    /// not allocate a fragment list and a value buffer per decode.
+    /// not allocate a fragment list per decode.
     frag_scratch: Vec<Fragment>,
-    decode_scratch: Vec<u8>,
     /// Last fully-acked stripe per key, the delta-coding base store
     /// (bounded FIFO; only populated in delta mode).
     stripe_cache: BTreeMap<Key, CachedStripe>,
@@ -265,7 +264,6 @@ impl Proxy {
             seen_client_ops: BTreeSet::new(),
             puts_fully_acked: 0,
             frag_scratch: Vec::new(),
-            decode_scratch: Vec::new(),
             stripe_cache: BTreeMap::new(),
             stripe_tick: 0,
         }
@@ -879,15 +877,13 @@ impl Proxy {
             frags.extend(current.fragments.values().cloned());
             let value_len = current.meta.value_len();
             let policy = *current.meta.policy();
-            let mut value = std::mem::take(&mut self.decode_scratch);
-            self.codec(policy.k, policy.n)
-                .decode_into(&frags, value_len, &mut value)
+            let blob = self
+                .codec(policy.k, policy.n)
+                .decode_value(&frags, value_len)
                 // lint:allow(panic-path): fragments.len() >= k checked above, all checksum-verified
                 .expect("k verified fragments decode");
-            let blob = Bytes::copy_from_slice(&value);
             frags.clear();
             self.frag_scratch = frags;
-            self.decode_scratch = value;
             // A successful decode that stepped over a ⊥ reply is a
             // degraded read: the value was recoverable but redundancy is
             // impaired (the repair benchmark's quality-of-service signal).

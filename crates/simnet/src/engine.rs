@@ -127,9 +127,13 @@ impl<M: Payload> Inner<M> {
     }
 
     fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
+        // Size the message once: a large batch's `wire_size` walks every
+        // entry it carries.
+        let kind_id = msg.kind_id();
+        let bytes = msg.wire_size();
         // Count at send time: dropped messages were still sent (§5.1).
-        self.metrics.record_send(msg.kind_id(), msg.wire_size());
-        self.deliver(from, to, msg);
+        self.metrics.record_send(kind_id, bytes);
+        self.deliver(from, to, msg, kind_id, bytes);
     }
 
     /// The delivery half of [`send`](Self::send): loss model, trace,
@@ -139,9 +143,8 @@ impl<M: Payload> Inner<M> {
     /// [`Metrics::record_coalesced`]) while each part still traverses the
     /// channel individually, drawing RNG in exactly the order the
     /// unbatched protocol would. Drops are still recorded per part.
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let kind_id = msg.kind_id();
-        let bytes = msg.wire_size();
+    /// `kind_id` and `bytes` are `msg.kind_id()` and `msg.wire_size()`.
+    fn deliver(&mut self, from: NodeId, to: NodeId, msg: M, kind_id: usize, bytes: usize) {
         let disposition = if self.faults.blocks(from, to, self.now) {
             self.metrics.record_drop(kind_id, bytes, true);
             Disposition::DroppedFault
@@ -158,7 +161,7 @@ impl<M: Payload> Inner<M> {
                 from,
                 to,
                 kind: msg.kind(),
-                bytes: msg.wire_size(),
+                bytes,
                 disposition,
             });
         }
@@ -227,7 +230,8 @@ impl<M: Payload> Context<'_, M> {
     /// coalescing changes only the traffic accounting, never event order
     /// or actor state.
     pub fn send_coalesced_part(&mut self, to: NodeId, msg: M) {
-        self.inner.deliver(self.self_id, to, msg);
+        let (kind_id, bytes) = (msg.kind_id(), msg.wire_size());
+        self.inner.deliver(self.self_id, to, msg, kind_id, bytes);
     }
 
     /// Accounts for a coalesced batch message: one physical send of
